@@ -36,7 +36,11 @@ struct Args {
     obs_level: ObsLevel,
 }
 
-fn parse_args() -> Result<Args, String> {
+const USAGE: &str = "usage: bench [--label NAME] [--quick] [--baseline PATH] \
+[--warn-factor X] [--obs-out DIR] [--obs-level phases|full]";
+
+/// Parses the command line; `Ok(None)` when usage was asked for.
+fn parse_args() -> Result<Option<Args>, String> {
     let mut args = Args {
         label: "local".to_string(),
         quick: false,
@@ -49,6 +53,7 @@ fn parse_args() -> Result<Args, String> {
     while let Some(arg) = iter.next() {
         let mut value_of = |name: &str| iter.next().ok_or_else(|| format!("{name} needs a value"));
         match arg.as_str() {
+            "--help" | "-h" => return Ok(None),
             "--label" => args.label = value_of("--label")?,
             "--quick" => args.quick = true,
             "--baseline" => args.baseline = Some(PathBuf::from(value_of("--baseline")?)),
@@ -63,11 +68,7 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|_| format!("--warn-factor: cannot parse '{raw}'"))?;
             }
-            other => {
-                return Err(format!(
-                    "unknown argument '{other}' (see --help in bench.rs)"
-                ))
-            }
+            other => return Err(format!("unknown argument '{other}'")),
         }
     }
     if args.obs_level == ObsLevel::Off && args.obs_out.is_some() {
@@ -84,14 +85,18 @@ fn parse_args() -> Result<Args, String> {
             args.label
         ));
     }
-    Ok(args)
+    Ok(Some(args))
 }
 
 fn main() -> ExitCode {
     let args = match parse_args() {
-        Ok(args) => args,
+        Ok(Some(args)) => args,
+        Ok(None) => {
+            println!("{USAGE}");
+            return ExitCode::SUCCESS;
+        }
         Err(e) => {
-            eprintln!("error: {e}");
+            eprintln!("error: {e}\n{USAGE}");
             return ExitCode::FAILURE;
         }
     };

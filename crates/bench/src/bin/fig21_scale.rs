@@ -17,7 +17,12 @@
 //!   exporter alone, which is what the obs-stream-smoke CI gate checks
 
 use icpda_bench::experiments::fig21_scale::{self, ScaleOptions};
+use icpda_bench::parallel;
 use std::path::PathBuf;
+use std::process::ExitCode;
+
+const USAGE: &str = "usage: fig21_scale [--threads N] [--quick] [--shards K] \
+[--obs-stream DIR] [--capture-only]";
 
 struct BinOpts {
     scale: ScaleOptions,
@@ -25,7 +30,8 @@ struct BinOpts {
     capture_only: bool,
 }
 
-fn parse_opts() -> Result<BinOpts, String> {
+/// Parses the command line; `Ok(None)` when usage was asked for.
+fn parse_opts() -> Result<Option<BinOpts>, String> {
     let mut opts = BinOpts {
         scale: ScaleOptions::default(),
         obs_stream: None,
@@ -34,6 +40,7 @@ fn parse_opts() -> Result<BinOpts, String> {
     let mut iter = std::env::args().skip(1);
     while let Some(arg) = iter.next() {
         match arg.as_str() {
+            "--help" | "-h" => return Ok(None),
             "--quick" => opts.scale.quick = true,
             "--shards" => {
                 let raw = iter.next().ok_or("--shards needs a value")?;
@@ -46,29 +53,35 @@ fn parse_opts() -> Result<BinOpts, String> {
                 opts.obs_stream = Some(PathBuf::from(raw));
             }
             "--capture-only" => opts.capture_only = true,
-            // `--threads N` is consumed by `run_main` below.
             "--threads" => {
-                let _ = iter.next();
+                let raw = iter.next().ok_or("--threads needs a value")?;
+                parallel::set_threads(parallel::parse_threads(&raw)?);
             }
-            other if other.starts_with("--threads=") => {}
-            other => return Err(format!("unknown argument '{other}'")),
+            other => match other.strip_prefix("--threads=") {
+                Some(raw) => parallel::set_threads(parallel::parse_threads(raw)?),
+                None => return Err(format!("unknown argument '{other}'")),
+            },
         }
     }
     if opts.capture_only && opts.obs_stream.is_none() {
         return Err("--capture-only needs --obs-stream DIR".to_string());
     }
-    Ok(opts)
+    Ok(Some(opts))
 }
 
-fn main() -> std::process::ExitCode {
+fn main() -> ExitCode {
     let opts = match parse_opts() {
-        Ok(parsed) => parsed,
+        Ok(Some(parsed)) => parsed,
+        Ok(None) => {
+            println!("{USAGE}");
+            return ExitCode::SUCCESS;
+        }
         Err(e) => {
-            eprintln!("error: {e}");
-            return std::process::ExitCode::FAILURE;
+            eprintln!("error: {e}\n{USAGE}");
+            return ExitCode::FAILURE;
         }
     };
-    icpda_bench::run_main(move || {
+    let run = || {
         if !opts.capture_only {
             fig21_scale::run_with(opts.scale)?;
         }
@@ -76,5 +89,6 @@ fn main() -> std::process::ExitCode {
             fig21_scale::capture_stream(opts.scale, dir).map_err(std::io::Error::other)?;
         }
         Ok(())
-    })
+    };
+    icpda_bench::finish(run())
 }

@@ -9,7 +9,11 @@ use rand_chacha::ChaCha8Rng;
 use wsn_sim::geometry::Region;
 use wsn_sim::topology::Deployment;
 
-fn main() -> std::io::Result<()> {
+fn main() -> std::process::ExitCode {
+    icpda_bench::run_main(render)
+}
+
+fn render() -> std::io::Result<()> {
     let config = IcpdaConfig::paper_default(AggFunction::Count);
     let mut rng = ChaCha8Rng::seed_from_u64(7);
     let uniform =

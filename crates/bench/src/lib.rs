@@ -174,16 +174,35 @@ impl Table {
     }
 }
 
-/// Shared `main` body for the figure/table binaries: parses the
-/// `--threads` override, runs the experiment, and maps any failure to a
-/// nonzero exit so CI and scripts never mistake a half-written CSV for
-/// a regenerated artefact.
+/// Shared `main` body for the figure/table binaries: accepts only
+/// `--threads N` and `--help` / `-h` (anything else is an error, so a
+/// mistyped flag never starts a long run), runs the experiment, and maps
+/// any failure to a nonzero exit so CI and scripts never mistake a
+/// half-written CSV for a regenerated artefact.
 pub fn run_main(run: impl FnOnce() -> io::Result<()>) -> std::process::ExitCode {
-    if let Err(e) = parallel::init_threads_from_args() {
-        eprintln!("error: {e}");
-        return std::process::ExitCode::FAILURE;
+    let argv: Vec<String> = std::env::args().collect();
+    let bin = argv
+        .first()
+        .and_then(|p| std::path::Path::new(p).file_name())
+        .map_or_else(String::new, |n| n.to_string_lossy().into_owned());
+    let usage = format!("usage: {bin} [--threads N]");
+    match parallel::init_threads_from_args(argv.get(1..).unwrap_or_default()) {
+        Ok(true) => finish(run()),
+        Ok(false) => {
+            println!("{usage}");
+            std::process::ExitCode::SUCCESS
+        }
+        Err(e) => {
+            eprintln!("error: {e}\n{usage}");
+            std::process::ExitCode::FAILURE
+        }
     }
-    match run() {
+}
+
+/// Maps an experiment's outcome to the process exit code, printing the
+/// error if there is one.
+pub fn finish(result: io::Result<()>) -> std::process::ExitCode {
+    match result {
         Ok(()) => std::process::ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");

@@ -12,7 +12,8 @@
 //! Worker count resolution, most specific wins:
 //!
 //! 1. `--threads N` on the command line ([`init_threads_from_args`],
-//!    called by every figure binary) or [`set_threads`];
+//!    called by every figure binary; [`parse_threads`] for binaries
+//!    with options of their own) or [`set_threads`];
 //! 2. the `ICPDA_THREADS` environment variable;
 //! 3. [`std::thread::available_parallelism`].
 //!
@@ -91,38 +92,40 @@ pub fn set_threads(n: usize) {
     THREAD_OVERRIDE.store(n, Ordering::SeqCst);
 }
 
-/// Applies a `--threads N` (or `--threads=N`) argument from the
-/// process command line, if present. Figure binaries take no other
-/// arguments, so unknown tokens are left alone.
+/// Applies the command line of a figure binary, which takes only
+/// `--threads N` (or `--threads=N`) and `--help` / `-h`. Returns
+/// `Ok(false)` when usage was asked for, so nothing should run.
 ///
 /// # Errors
 ///
-/// Returns a description when the value is missing or not a positive
-/// integer.
-pub fn init_threads_from_args() -> Result<(), String> {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
+/// Returns a description of an unknown argument, or of a `--threads`
+/// value that is missing or not a positive integer.
+pub fn init_threads_from_args(argv: &[String]) -> Result<bool, String> {
     let mut iter = argv.iter();
     while let Some(arg) = iter.next() {
-        let value = if arg == "--threads" {
-            Some(
-                iter.next()
-                    .ok_or_else(|| "--threads needs a value".to_string())?
-                    .as_str(),
-            )
-        } else {
-            arg.strip_prefix("--threads=")
+        let raw = match arg.as_str() {
+            "--help" | "-h" => return Ok(false),
+            "--threads" => iter.next().ok_or("--threads needs a value")?.as_str(),
+            other => other
+                .strip_prefix("--threads=")
+                .ok_or_else(|| format!("unknown argument '{other}'"))?,
         };
-        if let Some(raw) = value {
-            let n: usize = raw
-                .parse()
-                .map_err(|_| format!("--threads: cannot parse '{raw}'"))?;
-            if n == 0 {
-                return Err("--threads must be at least 1".into());
-            }
-            set_threads(n);
-        }
+        set_threads(parse_threads(raw)?);
     }
-    Ok(())
+    Ok(true)
+}
+
+/// Parses a `--threads` value: a positive worker count.
+///
+/// # Errors
+///
+/// Returns a description when `raw` is not a positive integer.
+pub fn parse_threads(raw: &str) -> Result<usize, String> {
+    match raw.parse() {
+        Ok(0) => Err("--threads must be at least 1".into()),
+        Ok(n) => Ok(n),
+        Err(_) => Err(format!("--threads: cannot parse '{raw}'")),
+    }
 }
 
 /// The worker count the next `par_*` call will use.
@@ -303,7 +306,23 @@ mod tests {
     #[test]
     fn threads_flag_parsing() {
         let _guard = serialized();
-        assert!(init_threads_from_args().is_ok());
+        let argv = |a: &[&str]| a.iter().map(|s| (*s).to_string()).collect::<Vec<_>>();
+        assert_eq!(init_threads_from_args(&[]), Ok(true));
+        assert_eq!(init_threads_from_args(&argv(&["--threads", "3"])), Ok(true));
+        assert_eq!(effective_threads(), 3);
+        assert_eq!(init_threads_from_args(&argv(&["--threads=5"])), Ok(true));
+        assert_eq!(effective_threads(), 5);
+        assert_eq!(init_threads_from_args(&argv(&["--help"])), Ok(false));
+        assert_eq!(init_threads_from_args(&argv(&["-h"])), Ok(false));
+        for bad in [
+            &["--threads"][..],
+            &["--threads", "0"],
+            &["--threads=abc"],
+            &["--quick"],
+            &["extra"],
+        ] {
+            assert!(init_threads_from_args(&argv(bad)).is_err(), "{bad:?}");
+        }
         set_threads(7);
         assert_eq!(effective_threads(), 7);
         set_threads(0);

@@ -7,11 +7,13 @@ use std::fmt;
 /// Parsed command line: a subcommand, an optional second positional
 /// ("action", e.g. `report` in `icpda obs report`), plus `--key value`
 /// options. Commands that take no action must reject one themselves.
+/// `--help` / `-h` anywhere asks for usage and takes no value.
 #[derive(Debug, Clone, Default)]
 pub struct Args {
     command: Option<String>,
     action: Option<String>,
     options: BTreeMap<String, String>,
+    help: bool,
 }
 
 /// A parse or validation error, ready to print.
@@ -44,7 +46,9 @@ impl Args {
         let mut iter = argv.into_iter();
         while let Some(token) = iter.next() {
             let token = token.as_ref();
-            if let Some(key) = token.strip_prefix("--") {
+            if token == "--help" || token == "-h" {
+                args.help = true;
+            } else if let Some(key) = token.strip_prefix("--") {
                 let value = iter
                     .next()
                     .ok_or_else(|| ParseArgsError(format!("--{key} needs a value")))?;
@@ -64,6 +68,12 @@ impl Args {
             }
         }
         Ok(args)
+    }
+
+    /// Whether `--help` or `-h` was given.
+    #[must_use]
+    pub fn help(&self) -> bool {
+        self.help
     }
 
     /// The subcommand, if any.
@@ -159,6 +169,22 @@ mod tests {
         let args = Args::parse(["run", "--nodes", "1", "--bogus", "x"]).unwrap();
         assert_eq!(args.unknown_flags(&["nodes"]), vec!["bogus".to_string()]);
         assert!(args.unknown_flags(&["nodes", "bogus"]).is_empty());
+    }
+
+    #[test]
+    fn help_flags_take_no_value() {
+        for argv in [
+            &["--help"][..],
+            &["-h"],
+            &["run", "--help"],
+            &["run", "--nodes", "5", "-h"],
+        ] {
+            let args = Args::parse(argv).unwrap();
+            assert!(args.help(), "{argv:?}");
+        }
+        let args = Args::parse(["run", "--help"]).unwrap();
+        assert_eq!(args.command(), Some("run"));
+        assert!(!Args::parse(["run"]).unwrap().help());
     }
 
     #[test]

@@ -56,7 +56,7 @@ COMMANDS:
               [--against DIR (diff two runs)] [--warn-pct P (10)]
               profile --dir DIR [--top K (10)] (engine self-profile:
               hot phases, per-shard imbalance, RSS high-water)
-    help      this text
+    help      this text (also --help or -h, after any command)
 ";
 
 fn main() -> ExitCode {
@@ -67,6 +67,10 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    if args.help() {
+        println!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
     let result = match args.command() {
         // Only `obs` takes an action token (`icpda obs report`).
         Some(cmd) if cmd != "obs" && args.action().is_some() => Err(args::ParseArgsError(format!(

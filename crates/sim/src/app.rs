@@ -10,6 +10,7 @@
 use crate::frame::{Destination, Frame, WireSize};
 use crate::ids::NodeId;
 use crate::metrics::Metrics;
+use crate::sim::node_rng;
 use crate::time::{SimDuration, SimTime};
 use icpda_obs::{Obs, SpanSnapshot};
 use rand_chacha::ChaCha8Rng;
@@ -135,7 +136,11 @@ pub struct Context<'a, M> {
     pub(crate) now: SimTime,
     pub(crate) node: NodeId,
     pub(crate) neighbors: &'a [NodeId],
-    pub(crate) rng: &'a mut ChaCha8Rng,
+    /// The node's RNG slot; the stream is derived from `seed` on the
+    /// first [`Context::rng`] call, so callbacks that draw nothing never
+    /// pay for it.
+    pub(crate) rng: &'a mut Option<ChaCha8Rng>,
+    pub(crate) seed: u64,
     pub(crate) metrics: &'a mut Metrics,
     pub(crate) obs: &'a mut Obs,
     pub(crate) commands: &'a mut Vec<Command<M>>,
@@ -165,7 +170,8 @@ impl<'a, M: WireSize> Context<'a, M> {
 
     /// Deterministic per-node random source.
     pub fn rng(&mut self) -> &mut ChaCha8Rng {
-        self.rng
+        let (seed, i) = (self.seed, self.node.index());
+        self.rng.get_or_insert_with(|| node_rng(seed, i))
     }
 
     /// Protocol-level named counters (see [`Metrics::bump`]).
@@ -265,11 +271,11 @@ impl<'a, M: WireSize> Context<'a, M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
+    use rand::RngCore;
 
     fn harness<'a, M: WireSize>(
         cmds: &'a mut Vec<Command<M>>,
-        rng: &'a mut ChaCha8Rng,
+        rng: &'a mut Option<ChaCha8Rng>,
         metrics: &'a mut Metrics,
         obs: &'a mut Obs,
         next_id: &'a mut u64,
@@ -279,6 +285,7 @@ mod tests {
             node: NodeId::new(2),
             neighbors: &[],
             rng,
+            seed: 9,
             metrics,
             obs,
             commands: cmds,
@@ -289,7 +296,7 @@ mod tests {
     #[test]
     fn send_records_wire_size() {
         let mut cmds = Vec::new();
-        let mut rng = ChaCha8Rng::seed_from_u64(0);
+        let mut rng = None;
         let mut metrics = Metrics::new(4);
         let mut obs = Obs::off();
         let mut next_id = 0;
@@ -319,7 +326,7 @@ mod tests {
     #[test]
     fn shared_payload_caches_wire_size_and_allocation() {
         let mut cmds = Vec::new();
-        let mut rng = ChaCha8Rng::seed_from_u64(0);
+        let mut rng = None;
         let mut metrics = Metrics::new(4);
         let mut obs = Obs::off();
         let mut next_id = 0;
@@ -347,7 +354,7 @@ mod tests {
     #[test]
     fn timers_get_unique_ids_and_absolute_times() {
         let mut cmds = Vec::new();
-        let mut rng = ChaCha8Rng::seed_from_u64(0);
+        let mut rng = None;
         let mut metrics = Metrics::new(4);
         let mut obs = Obs::off();
         let mut next_id = 0;
@@ -365,5 +372,24 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         assert!(matches!(&cmds[2], Command::CancelTimer { id } if *id == a));
+    }
+
+    #[test]
+    fn rng_is_derived_on_first_use_only() {
+        let mut cmds = Vec::new();
+        let mut rng = None;
+        let mut metrics = Metrics::new(4);
+        let mut obs = Obs::off();
+        let mut next_id = 0;
+        let mut ctx = harness::<()>(&mut cmds, &mut rng, &mut metrics, &mut obs, &mut next_id);
+        ctx.set_timer(SimDuration::from_millis(1), 0);
+        assert!(ctx.rng.is_none(), "no draw, no stream");
+        let first = ctx.rng().next_u64();
+        let second = ctx.rng().next_u64();
+        let mut reference = node_rng(9, 2);
+        assert_eq!(
+            (first, second),
+            (reference.next_u64(), reference.next_u64())
+        );
     }
 }

@@ -14,8 +14,8 @@
 //! keyed `(SimTime, seq)` with a globally unique, monotonically assigned
 //! `seq`, and the queue always pops the minimum key:
 //!
-//! * within a bucket, entries are kept sorted (descending, popped from
-//!   the back), so the bucket yields ascending `(time, seq)`;
+//! * within a bucket, entries are kept sorted ascending and popped from
+//!   the front, so the bucket yields ascending `(time, seq)`;
 //! * buckets are drained in ring order, and a bucket's key range is
 //!   strictly below the next bucket's;
 //! * every overflow key is `>=` the window end, i.e. strictly above
@@ -27,7 +27,7 @@
 //! golden-trace regression test pins this equivalence byte-for-byte.
 
 use crate::time::SimTime;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 /// Width of one ring bucket. 250 µs is a little below the airtime of a
 /// typical frame, so the in-flight MAC/delivery events of one
@@ -50,9 +50,10 @@ const MAX_BUCKETS: usize = 1024;
 /// and keeps total order regardless.
 #[derive(Debug)]
 pub struct CalendarQueue<T> {
-    /// The near-future ring. Each bucket is sorted **descending** by
-    /// `(time, seq)` so the minimum pops from the back in O(1).
-    buckets: Vec<Vec<(SimTime, u64, T)>>,
+    /// The near-future ring. Each bucket is sorted **ascending** by
+    /// `(time, seq)`: the minimum pops from the front in O(1), and the
+    /// common monotone push (a key above everything queued) appends.
+    buckets: Vec<VecDeque<(SimTime, u64, T)>>,
     /// Start of the current window (bucket 0's lower bound), nanoseconds.
     base_ns: u64,
     /// First bucket that may be non-empty; earlier buckets are drained.
@@ -72,7 +73,7 @@ impl<T> CalendarQueue<T> {
     pub fn for_nodes(n: usize) -> Self {
         let buckets = n.next_power_of_two().clamp(MIN_BUCKETS, MAX_BUCKETS);
         CalendarQueue {
-            buckets: (0..buckets).map(|_| Vec::new()).collect(),
+            buckets: (0..buckets).map(|_| VecDeque::new()).collect(),
             base_ns: 0,
             head: 0,
             ring_len: 0,
@@ -113,12 +114,19 @@ impl<T> CalendarQueue<T> {
         let idx = ((t.saturating_sub(self.base_ns)) / BUCKET_WIDTH_NS) as usize;
         let idx = idx.max(self.head);
         let bucket = &mut self.buckets[idx];
-        // Descending order: find the first entry with a smaller key and
-        // insert before it. Pushes are usually near the bucket's current
-        // maximum (monotone schedule), so the scan from the insertion
-        // point is short; binary search keeps the worst case logarithmic.
-        let pos = bucket.partition_point(|&(bt, bs, _)| (bt, bs) > (time, seq));
-        bucket.insert(pos, (time, seq, item));
+        // Ascending order. The engine assigns seqs monotonically, so a
+        // push at or after the bucket's last time is its new maximum and
+        // appends; an earlier push binary-searches its slot, and
+        // `VecDeque::insert` shifts whichever side of it is shorter.
+        if bucket
+            .back()
+            .is_none_or(|&(bt, bs, _)| (bt, bs) < (time, seq))
+        {
+            bucket.push_back((time, seq, item));
+        } else {
+            let pos = bucket.partition_point(|&(bt, bs, _)| (bt, bs) < (time, seq));
+            bucket.insert(pos, (time, seq, item));
+        }
         self.ring_len += 1;
     }
 
@@ -147,17 +155,11 @@ impl<T> CalendarQueue<T> {
         // remains is this window's load, moved into the ring.
         let rest = self.overflow.split_off(&(end, 0));
         let within = std::mem::replace(&mut self.overflow, rest);
+        // The drain arrives in ascending key order, which is bucket order.
         for ((t, seq), item) in within {
             let idx = ((t - self.base_ns) / BUCKET_WIDTH_NS) as usize;
-            self.buckets[idx].push((SimTime::from_nanos(t), seq, item));
+            self.buckets[idx].push_back((SimTime::from_nanos(t), seq, item));
             self.ring_len += 1;
-        }
-        // The drain arrived in ascending key order; buckets store
-        // descending, so flip each filled bucket once.
-        for bucket in &mut self.buckets {
-            if !bucket.is_empty() {
-                bucket.reverse();
-            }
         }
         while self.buckets[self.head].is_empty() {
             if self.head + 1 >= self.buckets.len() {
@@ -174,7 +176,7 @@ impl<T> CalendarQueue<T> {
             return None;
         }
         self.buckets[self.head]
-            .last()
+            .front()
             .map(|&(time, seq, _)| (time, seq))
     }
 
@@ -184,7 +186,7 @@ impl<T> CalendarQueue<T> {
         if self.ring_len == 0 {
             return None;
         }
-        let entry = self.buckets[self.head].pop();
+        let entry = self.buckets[self.head].pop_front();
         if entry.is_some() {
             self.ring_len -= 1;
         }
@@ -271,6 +273,27 @@ mod tests {
             }
             assert_eq!(q.pop(), None);
         }
+    }
+
+    #[test]
+    fn in_window_pushes_below_the_bucket_maximum_are_inserted_in_order() {
+        let mut q = CalendarQueue::for_nodes(1);
+        // One bucket: an append, an earlier time, and an equal time with
+        // a smaller seq must all land in key order.
+        q.push(t(2_000), 5, "append");
+        q.push(t(1_000), 6, "earlier");
+        q.push(t(2_000), 4, "same time, smaller seq");
+        q.push(t(2_000), 7, "same time, larger seq");
+        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, _, v)| v)).collect();
+        assert_eq!(
+            order,
+            [
+                "earlier",
+                "same time, smaller seq",
+                "append",
+                "same time, larger seq"
+            ]
+        );
     }
 
     #[test]

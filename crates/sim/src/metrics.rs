@@ -97,6 +97,19 @@ impl NodeMetrics {
     pub fn energy_total_nj(&self) -> f64 {
         self.energy_tx_nj + self.energy_rx_nj
     }
+
+    /// The counter of receptions (or, for `MacDrop`, frames) lost to
+    /// `cause`.
+    pub(crate) fn lost_mut(&mut self, cause: LossCause) -> &mut u64 {
+        match cause {
+            LossCause::Collision => &mut self.lost_collision,
+            LossCause::Stochastic => &mut self.lost_stochastic,
+            LossCause::HalfDuplex => &mut self.lost_half_duplex,
+            LossCause::MacDrop => &mut self.mac_drops,
+            LossCause::ReceiverDown => &mut self.lost_receiver_down,
+            LossCause::Corrupt => &mut self.lost_corrupt,
+        }
+    }
 }
 
 /// Network-wide counters plus per-node breakdowns and user-defined

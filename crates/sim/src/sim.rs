@@ -27,7 +27,7 @@ use crate::fault::FaultPlan;
 use crate::frame::{Destination, Frame};
 use crate::ids::NodeId;
 use crate::mac::MacConfig;
-use crate::metrics::{EnergyModel, Metrics};
+use crate::metrics::{EnergyModel, LossCause, Metrics};
 use crate::profile::{EngineProfile, EngineProfiler};
 use crate::radio::{LossModel, RadioConfig};
 use crate::time::{SimDuration, SimTime};
@@ -36,7 +36,7 @@ use crate::trace::{Trace, TraceKind, TraceLevel};
 use icpda_obs::{Obs, ObsLevel, SpanSnapshot};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 /// Engine-level configuration: radio, MAC, loss and energy models.
 #[derive(Clone, Copy, Debug, Default)]
@@ -110,6 +110,7 @@ enum EventKind<M> {
     MacAttempt {
         node: NodeId,
     },
+    /// The end of a transmission that reached no receiver.
     TxEnd {
         node: NodeId,
     },
@@ -120,7 +121,10 @@ enum EventKind<M> {
     /// Receivers are delivered in the order they were admitted
     /// (ascending node id), which is exactly the order the per-receiver
     /// events of an unbatched engine would execute in: their (time, seq)
-    /// keys were contiguous, so no foreign event could interleave.
+    /// keys were contiguous, so no foreign event could interleave. The
+    /// transmitter's end-of-transmission step runs right after the
+    /// fan-out: everything the fan-out schedules gets a later seq, so
+    /// nothing can run between the two.
     Delivery {
         frame: Frame<M>,
         receivers: Vec<NodeId>,
@@ -139,11 +143,86 @@ enum EventKind<M> {
     },
 }
 
-#[derive(Debug)]
-struct RxInFlight {
-    seq: u64,
-    end: SimTime,
-    corrupted: bool,
+/// One node's radio: everything the per-receiver steps of a
+/// transmission read and write, in one record, so a fan-out touches one
+/// small record per neighbour.
+///
+/// Receptions at a node form *receive busy periods*: maximal runs in
+/// which every reception starts while an earlier one of the run is still
+/// in the air. A reception is corrupted iff its period holds two or more
+/// receptions. That is exactly the pairwise rule "two receptions whose
+/// airtimes overlap corrupt each other": receptions are admitted in
+/// start order, a reception that joins a period overlaps a member still
+/// in the air, and one that opens a period overlaps no earlier
+/// reception, so a period is a connected run of overlaps and every
+/// member of a run of two or more overlaps some other member.
+#[derive(Clone, Copy, Debug, Default)]
+struct Radio {
+    /// Carrier sense: the latest end of any transmission audible here,
+    /// the node's own included.
+    medium_busy_until: SimTime,
+    /// Half-duplex: the end of the node's own transmission.
+    tx_busy_until: SimTime,
+    /// Start of the current receive busy period.
+    rx_start: SimTime,
+    /// Latest end among the current period's receptions.
+    rx_end: SimTime,
+    /// The current period holds two or more receptions.
+    rx_collided: bool,
+    /// The previous period held two or more receptions.
+    prev_collided: bool,
+    /// Down under the fault plan: deaf, mute and timer-less.
+    down: bool,
+}
+
+impl Radio {
+    /// The node puts a frame on the air until `end`.
+    fn start_tx(&mut self, end: SimTime) {
+        self.tx_busy_until = end;
+        self.medium_busy_until = self.medium_busy_until.max(end);
+    }
+
+    /// A neighbour's transmission over `[now, end)` reaches this node.
+    /// Returns the cause if the reception is lost at once; otherwise the
+    /// node locks on and delivery decides the reception's fate.
+    fn admit(&mut self, now: SimTime, end: SimTime) -> Option<LossCause> {
+        if self.down {
+            // The radio is off: the node does not even sense the medium.
+            return Some(LossCause::ReceiverDown);
+        }
+        self.medium_busy_until = self.medium_busy_until.max(end);
+        if self.tx_busy_until > now {
+            return Some(LossCause::HalfDuplex);
+        }
+        if self.rx_end > now {
+            self.rx_end = self.rx_end.max(end);
+            self.rx_collided = true;
+        } else {
+            self.prev_collided = self.rx_collided;
+            self.rx_start = now;
+            self.rx_end = end;
+            self.rx_collided = false;
+        }
+        None
+    }
+
+    /// The fate of an admitted reception that started at `start` and
+    /// ends now. Airtimes are positive (every frame carries the PHY
+    /// header), so a period that opens after the reception's own can
+    /// only open at this instant, when the reception's period ends: the
+    /// reception belongs to the current period iff it started no
+    /// earlier, and otherwise to the previous one.
+    fn delivery_loss(&self, start: SimTime) -> Option<LossCause> {
+        if self.down {
+            return Some(LossCause::ReceiverDown);
+        }
+        let collided = if start >= self.rx_start {
+            self.rx_collided
+        } else {
+            self.prev_collided
+        };
+        collided.then_some(LossCause::Collision)
+    }
 }
 
 struct MacState<M> {
@@ -151,9 +230,6 @@ struct MacState<M> {
     attempts: u32,
     /// A `MacAttempt` event is pending or a transmission is in progress.
     active: bool,
-    tx_busy_until: SimTime,
-    medium_busy_until: SimTime,
-    rx_in_flight: Vec<RxInFlight>,
 }
 
 impl<M> Default for MacState<M> {
@@ -162,11 +238,44 @@ impl<M> Default for MacState<M> {
             queue: VecDeque::new(),
             attempts: 0,
             active: false,
-            tx_busy_until: SimTime::ZERO,
-            medium_busy_until: SimTime::ZERO,
-            rx_in_flight: Vec::new(),
         }
     }
+}
+
+/// Liveness of every timer ever set, one bit per [`TimerId`]: ids are
+/// handed out by one monotone counter, so the set is a bitset over them.
+/// A timer fires iff its bit is still set at fire time; firing and
+/// cancelling both clear it, so cancelling a fired or unknown timer is
+/// a no-op that leaves nothing behind.
+#[derive(Debug, Default)]
+struct TimerSet {
+    words: Vec<u64>,
+}
+
+impl TimerSet {
+    fn insert(&mut self, id: TimerId) {
+        let (word, bit) = timer_bit(id);
+        if word >= self.words.len() {
+            self.words.resize(word + 1, 0);
+        }
+        self.words[word] |= bit;
+    }
+
+    /// Clears `id`, returning whether it was set.
+    fn remove(&mut self, id: TimerId) -> bool {
+        let (word, bit) = timer_bit(id);
+        match self.words.get_mut(word) {
+            Some(w) if *w & bit != 0 => {
+                *w &= !bit;
+                true
+            }
+            _ => false,
+        }
+    }
+}
+
+fn timer_bit(id: TimerId) -> (usize, u64) {
+    ((id.0 / 64) as usize, 1 << (id.0 % 64))
 }
 
 /// The discrete-event wireless sensor network simulator.
@@ -220,35 +329,34 @@ pub struct Simulator<A: Application> {
     event_seq: u64,
     frame_seq: u64,
     next_timer_id: u64,
-    /// Ids of timers that are scheduled and not yet fired or cancelled.
-    /// A timer fires iff its id is still here at fire time; firing and
-    /// cancelling both *remove*, so the set is bounded by the number of
-    /// pending timers (cancelling an already-fired timer is a no-op
-    /// rather than a permanently retained tombstone).
-    live_timers: BTreeSet<u64>,
+    /// Timers that are scheduled and not yet fired or cancelled.
+    live_timers: TimerSet,
     /// Reused buffer for callback commands (drained after every
     /// callback), so the dispatch hot path allocates nothing per event.
     command_buf: Vec<Command<A::Message>>,
     apps: Vec<A>,
-    /// Per-node RNG streams, materialised lazily: deriving 50k ChaCha8
-    /// states up front dominates `Simulator::new` at scale, and most
-    /// streams are first drawn from well after start. The derivation in
-    /// [`node_rng`] is untouched, so the draws are byte-identical to the
-    /// eager build.
+    /// Per-node RNG streams, materialised on the first draw: deriving
+    /// 50k ChaCha8 states up front dominates `Simulator::new` at scale,
+    /// and many nodes never draw at all (a callback gets the slot and
+    /// derives the stream only inside [`Context::rng`]). The derivation
+    /// in [`node_rng`] is untouched, so the draws are byte-identical to
+    /// the eager build.
     rngs: Vec<Option<ChaCha8Rng>>,
     /// The run seed, kept for lazy RNG derivation.
     seed: u64,
     /// Recycled receiver-list buffers for batched deliveries.
     arena: FrameArena,
     mac: Vec<MacState<A::Message>>,
+    radios: Vec<Radio>,
     metrics: Metrics,
     trace: Trace,
     obs: Obs,
     events_processed: u64,
     started: bool,
     fault_plan: FaultPlan,
-    down: Vec<bool>,
     channel_plan: ChannelPlan,
+    /// Whether `channel_plan` is non-empty, decided when it is installed.
+    channel_active: bool,
     /// Per-receiver Gilbert–Elliott state (true = bad/bursty state).
     ge_bad: Vec<bool>,
     /// Dedicated RNG stream for channel-plan draws, so impairments never
@@ -273,7 +381,6 @@ impl<A: Application> Simulator<A> {
         let apps: Vec<A> = (0..n as u32).map(|i| build(NodeId::new(i))).collect();
         let rngs = vec![None; n];
         let mac = (0..n).map(|_| MacState::default()).collect();
-        let down = vec![false; n];
         let shards = config.shards.clamp(1, n.max(1));
         let shard_of = if shards == 1 {
             vec![0u32; n]
@@ -309,18 +416,19 @@ impl<A: Application> Simulator<A> {
             event_seq: 0,
             frame_seq: 0,
             next_timer_id: 0,
-            live_timers: BTreeSet::new(),
+            live_timers: TimerSet::default(),
             command_buf: Vec::new(),
             apps,
             rngs,
             seed,
             arena: FrameArena::new(),
             mac,
+            radios: vec![Radio::default(); n],
             events_processed: 0,
             started: false,
             fault_plan: FaultPlan::none(),
-            down,
             channel_plan: ChannelPlan::none(),
+            channel_active: false,
             ge_bad: vec![false; n],
             channel_rng: ChaCha8Rng::seed_from_u64(
                 seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xC4A2_2E10_5EED_0002,
@@ -364,6 +472,7 @@ impl<A: Application> Simulator<A> {
             !self.started,
             "channel plan must be installed before the simulation starts"
         );
+        self.channel_active = !plan.is_empty();
         self.channel_plan = plan;
     }
 
@@ -381,7 +490,7 @@ impl<A: Application> Simulator<A> {
     /// Panics if `id` is out of range.
     #[must_use]
     pub fn is_down(&self, id: NodeId) -> bool {
-        self.down[id.index()]
+        self.radios[id.index()].down
     }
 
     /// The deployment this simulator runs over.
@@ -532,7 +641,7 @@ impl<A: Application> Simulator<A> {
 
     /// Shard owning `kind`: the shard of the node the event acts on
     /// (a delivery belongs to its transmitter's shard — the receivers'
-    /// in-flight records were already written at transmission start).
+    /// radios were already updated at transmission start).
     fn shard_of_kind(&self, kind: &EventKind<A::Message>) -> usize {
         if self.queues.len() == 1 {
             return 0;
@@ -576,7 +685,7 @@ impl<A: Application> Simulator<A> {
             for i in 0..self.apps.len() {
                 let node = NodeId::new(i as u32);
                 if self.fault_plan.is_down(node, SimTime::ZERO) {
-                    self.down[i] = true;
+                    self.radios[i].down = true;
                     self.metrics.note_down();
                     if self.trace.wants(TraceLevel::Metrics) {
                         self.trace
@@ -590,7 +699,7 @@ impl<A: Application> Simulator<A> {
             }
         }
         for i in 0..self.apps.len() {
-            if self.down[i] {
+            if self.radios[i].down {
                 continue;
             }
             let node = NodeId::new(i as u32);
@@ -603,10 +712,10 @@ impl<A: Application> Simulator<A> {
     fn handle_fault_edge(&mut self, node: NodeId) {
         let now_down = self.fault_plan.is_down(node, self.now);
         let i = node.index();
-        if now_down == self.down[i] {
+        if now_down == self.radios[i].down {
             return;
         }
-        self.down[i] = now_down;
+        self.radios[i].down = now_down;
         if self.obs.wants(ObsLevel::Full) {
             self.obs.inc("engine.fault_edges");
             let snap = obs_snap(&self.metrics, node);
@@ -623,9 +732,9 @@ impl<A: Application> Simulator<A> {
                 self.trace.record(self.now, TraceKind::NodeDown { node });
             }
             // Battery pulled: queued frames and backoff state are lost.
-            // In-flight reception records are kept so the delivery
-            // bookkeeping stays consistent; the delivery path discards
-            // them.
+            // Receptions already in the air stay in the receive busy
+            // period (they still corrupt their overlaps); the delivery
+            // path discards them if the node is still down then.
             let st = &mut self.mac[i];
             st.queue.clear();
             st.attempts = 0;
@@ -644,12 +753,12 @@ impl<A: Application> Simulator<A> {
     fn with_ctx(&mut self, node: NodeId, f: impl FnOnce(&mut A, &mut Context<'_, A::Message>)) {
         let mut commands = std::mem::take(&mut self.command_buf);
         {
-            let rng = rng_at(&mut self.rngs, self.seed, node.index());
             let ctx = &mut Context {
                 now: self.now,
                 node,
                 neighbors: self.deployment.neighbors(node),
-                rng,
+                rng: &mut self.rngs[node.index()],
+                seed: self.seed,
                 metrics: &mut self.metrics,
                 obs: &mut self.obs,
                 commands: &mut commands,
@@ -668,14 +777,14 @@ impl<A: Application> Simulator<A> {
                     if self.obs.wants(ObsLevel::Full) {
                         self.obs.inc("engine.timers_set");
                     }
-                    self.live_timers.insert(id.0);
+                    self.live_timers.insert(id);
                     self.schedule(at.max(self.now), EventKind::Timer { node, token, id });
                 }
                 Command::CancelTimer { id } => {
                     if self.obs.wants(ObsLevel::Full) {
                         self.obs.inc("engine.timers_cancelled");
                     }
-                    self.live_timers.remove(&id.0);
+                    self.live_timers.remove(id);
                 }
                 Command::TraceNote { code } => {
                     if self.trace.wants(TraceLevel::Metrics) {
@@ -708,10 +817,7 @@ impl<A: Application> Simulator<A> {
         if !st.active {
             st.active = true;
             st.attempts = 0;
-            let jitter = sample_jitter(
-                rng_at(&mut self.rngs, self.seed, src.index()),
-                self.config.mac.initial_jitter,
-            );
+            let jitter = self.initial_jitter(src);
             self.schedule(self.now + jitter, EventKind::MacAttempt { node: src });
         }
     }
@@ -719,7 +825,7 @@ impl<A: Application> Simulator<A> {
     fn handle_mac_attempt(&mut self, node: NodeId) {
         let now = self.now;
         let mac_cfg = self.config.mac;
-        if self.down[node.index()] {
+        if self.radios[node.index()].down {
             // A down node transmits nothing; its pending attempt chain
             // ends here (the queue was already cleared at the down edge).
             let st = &mut self.mac[node.index()];
@@ -732,7 +838,8 @@ impl<A: Application> Simulator<A> {
             st.active = false;
             return;
         }
-        if st.medium_busy_until > now {
+        let medium_busy_until = self.radios[node.index()].medium_busy_until;
+        if medium_busy_until > now {
             // Channel busy: defer to end of busy period + random backoff.
             st.attempts += 1;
             if st.attempts >= mac_cfg.max_attempts {
@@ -757,7 +864,7 @@ impl<A: Application> Simulator<A> {
             }
             let window = mac_cfg.backoff_window(st.attempts);
             let slots = rng_at(&mut self.rngs, self.seed, node.index()).gen_range(0..window);
-            let retry_at = self.mac[node.index()].medium_busy_until + mac_cfg.slot * slots;
+            let retry_at = medium_busy_until + mac_cfg.slot * slots;
             self.schedule(retry_at, EventKind::MacAttempt { node });
             return;
         }
@@ -769,8 +876,7 @@ impl<A: Application> Simulator<A> {
         let airtime = self.config.radio.airtime(frame.size_bytes);
         let on_air = self.config.radio.on_air_bytes(frame.size_bytes) as u64;
         let end = now + airtime;
-        st.tx_busy_until = end;
-        st.medium_busy_until = st.medium_busy_until.max(end);
+        self.radios[node.index()].start_tx(end);
         {
             let nm = self.metrics.node_mut(node);
             nm.frames_sent += 1;
@@ -795,60 +901,18 @@ impl<A: Application> Simulator<A> {
         let mut receivers: Vec<NodeId> = self.arena.take(neighbor_count);
         for i in 0..neighbor_count {
             let r = self.deployment.neighbors(node)[i];
-            if self.down[r.index()] {
-                // The receiver's radio is off: the frame is lost to it and
-                // it does not even sense the medium.
-                self.metrics.node_mut(r).lost_receiver_down += 1;
-                if self.trace.wants(TraceLevel::Full) {
-                    self.trace.record(
-                        now,
-                        TraceKind::FrameLost {
-                            node: r,
-                            seq: frame.seq,
-                            cause: crate::metrics::LossCause::ReceiverDown,
-                        },
-                    );
-                }
-                continue;
+            match self.radios[r.index()].admit(now, end) {
+                None => receivers.push(r),
+                Some(cause) => self.lose(r, frame.seq, cause),
             }
-            let rst = &mut self.mac[r.index()];
-            rst.medium_busy_until = rst.medium_busy_until.max(end);
-            if rst.tx_busy_until > now {
-                // Half-duplex: receiver is transmitting, frame missed.
-                self.metrics.node_mut(r).lost_half_duplex += 1;
-                if self.trace.wants(TraceLevel::Full) {
-                    self.trace.record(
-                        now,
-                        TraceKind::FrameLost {
-                            node: r,
-                            seq: frame.seq,
-                            cause: crate::metrics::LossCause::HalfDuplex,
-                        },
-                    );
-                }
-                continue;
-            }
-            // Collision: overlap with any in-flight reception corrupts both.
-            let mut corrupted = false;
-            for inflight in rst.rx_in_flight.iter_mut() {
-                if inflight.end > now {
-                    inflight.corrupted = true;
-                    corrupted = true;
-                }
-            }
-            rst.rx_in_flight.push(RxInFlight {
-                seq: frame.seq,
-                end,
-                corrupted,
-            });
-            receivers.push(r);
         }
+        // The transmission ends with its fan-out when it reached anyone.
         if receivers.is_empty() {
             self.arena.recycle(receivers);
+            self.schedule(end, EventKind::TxEnd { node });
         } else {
             self.schedule(end, EventKind::Delivery { frame, receivers });
         }
-        self.schedule(end, EventKind::TxEnd { node });
     }
 
     fn handle_tx_end(&mut self, node: NodeId) {
@@ -856,18 +920,38 @@ impl<A: Application> Simulator<A> {
         if st.queue.is_empty() {
             st.active = false;
         } else {
-            let jitter = sample_jitter(
-                rng_at(&mut self.rngs, self.seed, node.index()),
-                self.config.mac.initial_jitter,
-            );
+            let jitter = self.initial_jitter(node);
             self.schedule(self.now + jitter, EventKind::MacAttempt { node });
         }
     }
 
+    /// A random delay in `[0, initial_jitter)` from `node`'s stream; a
+    /// zero jitter draws nothing and leaves the stream unmaterialised.
+    fn initial_jitter(&mut self, node: NodeId) -> SimDuration {
+        let max = self.config.mac.initial_jitter;
+        if max.is_zero() {
+            SimDuration::ZERO
+        } else {
+            let rng = rng_at(&mut self.rngs, self.seed, node.index());
+            SimDuration::from_nanos(rng.gen_range(0..max.as_nanos()))
+        }
+    }
+
+    /// Counts a reception of frame `seq` that `node` lost to `cause`,
+    /// and traces it.
+    fn lose(&mut self, node: NodeId, seq: u64, cause: LossCause) {
+        *self.metrics.node_mut(node).lost_mut(cause) += 1;
+        if self.trace.wants(TraceLevel::Full) {
+            self.trace
+                .record(self.now, TraceKind::FrameLost { node, seq, cause });
+        }
+    }
+
     /// Delivers one transmission's fan-out. The per-frame quantities
-    /// (on-air size, receive energy) are computed once here instead of
-    /// once per receiver.
+    /// (start of the airtime, on-air size, receive energy) are computed
+    /// once here instead of once per receiver.
     fn handle_delivery(&mut self, frame: &Frame<A::Message>, receivers: &[NodeId]) {
+        let start = self.now - self.config.radio.airtime(frame.size_bytes);
         let on_air = self.config.radio.on_air_bytes(frame.size_bytes) as u64;
         let rx_energy = on_air as f64 * self.config.energy.rx_nj_per_byte;
         if self.obs.wants(ObsLevel::Full) {
@@ -881,7 +965,7 @@ impl<A: Application> Simulator<A> {
             );
         }
         for &r in receivers {
-            self.deliver_frame(r, frame, on_air, rx_energy);
+            self.deliver_frame(r, frame, start, on_air, rx_energy);
         }
     }
 
@@ -889,63 +973,22 @@ impl<A: Application> Simulator<A> {
         &mut self,
         node: NodeId,
         frame: &Frame<A::Message>,
+        start: SimTime,
         on_air: u64,
         rx_energy: f64,
     ) {
-        let st = &mut self.mac[node.index()];
-        let idx = st
-            .rx_in_flight
-            .iter()
-            .position(|r| r.seq == frame.seq)
-            .expect("invariant: every delivery has a matching in-flight record");
-        let record = st.rx_in_flight.swap_remove(idx);
-        if self.down[node.index()] {
-            // The node died while the frame was in the air.
-            self.metrics.node_mut(node).lost_receiver_down += 1;
-            if self.trace.wants(TraceLevel::Full) {
-                self.trace.record(
-                    self.now,
-                    TraceKind::FrameLost {
-                        node,
-                        seq: frame.seq,
-                        cause: crate::metrics::LossCause::ReceiverDown,
-                    },
-                );
-            }
-            return;
-        }
-        if record.corrupted {
-            self.metrics.node_mut(node).lost_collision += 1;
-            if self.trace.wants(TraceLevel::Full) {
-                self.trace.record(
-                    self.now,
-                    TraceKind::FrameLost {
-                        node,
-                        seq: frame.seq,
-                        cause: crate::metrics::LossCause::Collision,
-                    },
-                );
-            }
+        if let Some(cause) = self.radios[node.index()].delivery_loss(start) {
+            self.lose(node, frame.seq, cause);
             return;
         }
         // Channel-plan loss gauntlet: link windows, the bursty chain and
         // corruption, strictly skipped for the empty plan so
         // impairment-free runs never touch the channel RNG. The draw
         // order is fixed (link, burst, corruption) for determinism.
-        if !self.channel_plan.is_empty() {
+        if self.channel_active {
             let link = self.channel_plan.link_loss(frame.src, node, self.now);
             if link > 0.0 && self.channel_rng.gen::<f64>() < link {
-                self.metrics.node_mut(node).lost_stochastic += 1;
-                if self.trace.wants(TraceLevel::Full) {
-                    self.trace.record(
-                        self.now,
-                        TraceKind::FrameLost {
-                            node,
-                            seq: frame.seq,
-                            cause: crate::metrics::LossCause::Stochastic,
-                        },
-                    );
-                }
+                self.lose(node, frame.seq, LossCause::Stochastic);
                 return;
             }
             if self.channel_plan.gilbert_elliott().is_some()
@@ -953,17 +996,7 @@ impl<A: Application> Simulator<A> {
                     .channel_plan
                     .ge_drops(&mut self.channel_rng, &mut self.ge_bad[node.index()])
             {
-                self.metrics.node_mut(node).lost_stochastic += 1;
-                if self.trace.wants(TraceLevel::Full) {
-                    self.trace.record(
-                        self.now,
-                        TraceKind::FrameLost {
-                            node,
-                            seq: frame.seq,
-                            cause: crate::metrics::LossCause::Stochastic,
-                        },
-                    );
-                }
+                self.lose(node, frame.seq, LossCause::Stochastic);
                 return;
             }
             let corrupt = self.channel_plan.corruption();
@@ -974,45 +1007,27 @@ impl<A: Application> Simulator<A> {
                 let stored = frame_checksum(frame.seq, frame.src.as_u32(), frame.size_bytes);
                 let syndrome = self.channel_rng.gen::<u32>() | 1;
                 debug_assert_ne!(corrupted_checksum(stored, syndrome), stored);
-                self.metrics.node_mut(node).lost_corrupt += 1;
-                if self.trace.wants(TraceLevel::Full) {
-                    self.trace.record(
-                        self.now,
-                        TraceKind::FrameLost {
-                            node,
-                            seq: frame.seq,
-                            cause: crate::metrics::LossCause::Corrupt,
-                        },
-                    );
-                }
+                self.lose(node, frame.seq, LossCause::Corrupt);
                 return;
             }
         }
-        let distance_ratio = self
-            .deployment
-            .position(node)
-            .distance_to(self.deployment.position(frame.src))
-            / self.deployment.radio_range();
-        if self.config.loss.drops(
-            rng_at(&mut self.rngs, self.seed, node.index()),
-            distance_ratio,
-        ) {
-            self.metrics.node_mut(node).lost_stochastic += 1;
-            if self.trace.wants(TraceLevel::Full) {
-                self.trace.record(
-                    self.now,
-                    TraceKind::FrameLost {
-                        node,
-                        seq: frame.seq,
-                        cause: crate::metrics::LossCause::Stochastic,
-                    },
-                );
+        // `LossModel::None` draws nothing, so it needs neither the
+        // distance nor the node's stream.
+        if !matches!(self.config.loss, LossModel::None) {
+            let distance_ratio = self
+                .deployment
+                .position(node)
+                .distance_to(self.deployment.position(frame.src))
+                / self.deployment.radio_range();
+            let rng = rng_at(&mut self.rngs, self.seed, node.index());
+            if self.config.loss.drops(rng, distance_ratio) {
+                self.lose(node, frame.seq, LossCause::Stochastic);
+                return;
             }
-            return;
         }
         // Delivery mutations: a surviving reception can be held back
         // (bounded reordering) or delivered twice (duplication).
-        if !self.channel_plan.is_empty() {
+        if self.channel_active {
             let reorder = self.channel_plan.reordering();
             if reorder > 0.0 && self.channel_rng.gen::<f64>() < reorder {
                 let window = self.channel_plan.reorder_window().as_nanos();
@@ -1087,18 +1102,8 @@ impl<A: Application> Simulator<A> {
     /// The frame passed the loss gauntlet when it originally arrived;
     /// only the receiver dying in the meantime can still lose it.
     fn handle_redelivery(&mut self, node: NodeId, frame: &Frame<A::Message>) {
-        if self.down[node.index()] {
-            self.metrics.node_mut(node).lost_receiver_down += 1;
-            if self.trace.wants(TraceLevel::Full) {
-                self.trace.record(
-                    self.now,
-                    TraceKind::FrameLost {
-                        node,
-                        seq: frame.seq,
-                        cause: crate::metrics::LossCause::ReceiverDown,
-                    },
-                );
-            }
+        if self.radios[node.index()].down {
+            self.lose(node, frame.seq, LossCause::ReceiverDown);
             return;
         }
         let on_air = self.config.radio.on_air_bytes(frame.size_bytes) as u64;
@@ -1108,18 +1113,18 @@ impl<A: Application> Simulator<A> {
 
     fn execute(&mut self, kind: EventKind<A::Message>) {
         // A batched delivery event stands for one logical event per
-        // receiver; counting it as such keeps events/sec comparable with
-        // a per-receiver event heap.
+        // receiver plus the transmission's end; counting it as such keeps
+        // events/sec comparable with a per-receiver event heap.
         self.events_processed += match &kind {
-            EventKind::Delivery { receivers, .. } => receivers.len() as u64,
+            EventKind::Delivery { receivers, .. } => receivers.len() as u64 + 1,
             _ => 1,
         };
         match kind {
             EventKind::Timer { node, token, id } => {
-                let live = self.live_timers.remove(&id.0);
+                let live = self.live_timers.remove(id);
                 // Timers of a down node are lost, not deferred: a crashed
                 // node's schedule dies with it.
-                if live && !self.down[node.index()] {
+                if live && !self.radios[node.index()].down {
                     if self.trace.wants(TraceLevel::Full) {
                         self.trace
                             .record(self.now, TraceKind::TimerFired { node, token });
@@ -1137,6 +1142,7 @@ impl<A: Application> Simulator<A> {
             EventKind::Delivery { frame, receivers } => {
                 self.handle_delivery(&frame, &receivers);
                 self.arena.recycle(receivers);
+                self.handle_tx_end(frame.src);
             }
             EventKind::FaultEdge { node } => self.handle_fault_edge(node),
             EventKind::Redelivery { frame, node } => self.handle_redelivery(node, &frame),
@@ -1244,7 +1250,7 @@ fn obs_snap(metrics: &Metrics, node: NodeId) -> SpanSnapshot {
 /// Derives node `i`'s RNG stream from the run seed. This is the exact
 /// derivation the eager constructor used, so lazily materialised streams
 /// draw byte-identical sequences.
-fn node_rng(seed: u64, i: usize) -> ChaCha8Rng {
+pub(crate) fn node_rng(seed: u64, i: usize) -> ChaCha8Rng {
     ChaCha8Rng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (i as u64 + 1))
 }
 
@@ -1254,10 +1260,157 @@ fn rng_at(rngs: &mut [Option<ChaCha8Rng>], seed: u64, i: usize) -> &mut ChaCha8R
     rngs[i].get_or_insert_with(|| node_rng(seed, i))
 }
 
-fn sample_jitter(rng: &mut ChaCha8Rng, max: SimDuration) -> SimDuration {
-    if max.is_zero() {
-        SimDuration::ZERO
-    } else {
-        SimDuration::from_nanos(rng.gen_range(0..max.as_nanos()))
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The receiver bookkeeping `Radio` replaced, kept as its reference:
+    /// a list of in-flight receptions, each marked corrupted when a
+    /// later one starts while it is still in the air, and removed at its
+    /// delivery.
+    #[derive(Default)]
+    struct InFlightList {
+        medium_busy_until: SimTime,
+        tx_busy_until: SimTime,
+        down: bool,
+        /// `(frame seq, end, corrupted)`.
+        rx_in_flight: Vec<(u64, SimTime, bool)>,
+    }
+
+    impl InFlightList {
+        fn admit(&mut self, seq: u64, now: SimTime, end: SimTime) -> Option<LossCause> {
+            if self.down {
+                return Some(LossCause::ReceiverDown);
+            }
+            self.medium_busy_until = self.medium_busy_until.max(end);
+            if self.tx_busy_until > now {
+                return Some(LossCause::HalfDuplex);
+            }
+            let mut corrupted = false;
+            for inflight in &mut self.rx_in_flight {
+                if inflight.1 > now {
+                    inflight.2 = true;
+                    corrupted = true;
+                }
+            }
+            self.rx_in_flight.push((seq, end, corrupted));
+            None
+        }
+
+        fn deliver(&mut self, seq: u64) -> Option<LossCause> {
+            let idx = self
+                .rx_in_flight
+                .iter()
+                .position(|r| r.0 == seq)
+                .expect("delivered reception was admitted");
+            let (_, _, corrupted) = self.rx_in_flight.swap_remove(idx);
+            if self.down {
+                Some(LossCause::ReceiverDown)
+            } else if corrupted {
+                Some(LossCause::Collision)
+            } else {
+                None
+            }
+        }
+    }
+
+    /// One receiver driven through `ops` by both bookkeepings at once.
+    /// Receptions are admitted at the current instant and delivered
+    /// exactly at their end, in any interleaving with admissions,
+    /// transmissions and down/up toggles at the same instant — the
+    /// freedom the engine's `(time, seq)` order has.
+    fn race(ops: &[(u8, u64)]) {
+        let mut radio = Radio::default();
+        let mut list = InFlightList::default();
+        // Admitted receptions awaiting delivery: `(end, seq, start)`.
+        let mut pending: Vec<(SimTime, u64, SimTime)> = Vec::new();
+        let mut now = SimTime::ZERO;
+        let mut seq = 0u64;
+        let deliver = |radio: &mut Radio,
+                       list: &mut InFlightList,
+                       pending: &mut Vec<(SimTime, u64, SimTime)>,
+                       now: SimTime| {
+            if let Some(i) = pending.iter().position(|p| p.0 == now) {
+                let (_, s, start) = pending.remove(i);
+                assert_eq!(radio.delivery_loss(start), list.deliver(s), "seq {s}");
+            }
+        };
+        for &(op, p) in ops {
+            let next_end = pending.iter().map(|p| p.0).min();
+            match op {
+                // Admit a reception with a positive airtime.
+                0 | 1 => {
+                    let end = now + SimDuration::from_nanos(1 + p % 12);
+                    let got = radio.admit(now, end);
+                    assert_eq!(got, list.admit(seq, now, end));
+                    if got.is_none() {
+                        pending.push((end, seq, now));
+                    }
+                    seq += 1;
+                }
+                // Let time pass, never beyond an undelivered end.
+                2 => {
+                    let to = now + SimDuration::from_nanos(p % 6);
+                    now = next_end.map_or(to, |e| to.min(e));
+                }
+                // Deliver a reception ending now, or jump to the next end.
+                3 => {
+                    if next_end.is_some_and(|e| e > now) {
+                        now = next_end.unwrap_or(now);
+                    }
+                    deliver(&mut radio, &mut list, &mut pending, now);
+                }
+                4 => {
+                    radio.down = !radio.down;
+                    list.down = !list.down;
+                }
+                // The receiver transmits.
+                _ => {
+                    let end = now + SimDuration::from_nanos(1 + p % 8);
+                    radio.start_tx(end);
+                    list.tx_busy_until = end;
+                    list.medium_busy_until = list.medium_busy_until.max(end);
+                }
+            }
+            assert_eq!(radio.medium_busy_until, list.medium_busy_until);
+        }
+        pending.sort_unstable();
+        while let Some(&(end, _, _)) = pending.first() {
+            deliver(&mut radio, &mut list, &mut pending, end);
+        }
+        assert!(list.rx_in_flight.is_empty());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The packed busy-period record decides every admission and
+        /// every delivery exactly as the in-flight list did.
+        #[test]
+        fn radio_matches_in_flight_list(
+            ops in prop::collection::vec((0u8..6, 0u64..64), 1..300),
+        ) {
+            race(&ops);
+        }
+    }
+
+    #[test]
+    fn radio_reproduces_collision_chains_and_touching_receptions() {
+        let t = SimTime::from_nanos;
+        // Chain: [0,8) [4,12) [9,17) — the ends never overlap, all lose.
+        let mut radio = Radio::default();
+        for start in [0, 4, 9] {
+            assert_eq!(radio.admit(t(start), t(start + 8)), None);
+        }
+        assert_eq!(radio.delivery_loss(t(0)), Some(LossCause::Collision));
+        assert_eq!(radio.delivery_loss(t(9)), Some(LossCause::Collision));
+        // Touching: [20,28) then [28,36) admitted before the first one's
+        // delivery at 28 — separate periods, neither loses, and the
+        // earlier reception reads the previous period's flag.
+        assert_eq!(radio.admit(t(20), t(28)), None);
+        assert_eq!(radio.admit(t(28), t(36)), None);
+        assert_eq!(radio.delivery_loss(t(20)), None);
+        assert_eq!(radio.delivery_loss(t(28)), None);
     }
 }

@@ -99,8 +99,10 @@ const UNSAFE_ROOTS: [&str; 11] = [
 /// The engine's event-dispatch / frame-delivery hot path: one entry per
 /// file, listing the function bodies XL006 scans. These run once per
 /// simulated event (or per receiver), so a single `.clone()` there
-/// multiplies into millions of allocations per experiment sweep.
-const HOT_PATHS: [(&str, &[&str]); 3] = [
+/// multiplies into millions of allocations per experiment sweep. A name
+/// that matches no `fn` in its file is reported as XL000, so a renamed
+/// hot function cannot silently drop out of the scan.
+const HOT_PATHS: [(&str, &[&str]); 5] = [
     (
         "crates/sim/src/sim.rs",
         &[
@@ -109,14 +111,25 @@ const HOT_PATHS: [(&str, &[&str]); 3] = [
             "enqueue_frame",
             "handle_mac_attempt",
             "handle_tx_end",
+            "initial_jitter",
+            "lose",
             "handle_delivery",
             "deliver_frame",
             "dispatch_frame",
             "handle_redelivery",
             "execute",
             "next_event",
+            // The packed per-node radio record and the timer bitset.
+            "start_tx",
+            "admit",
+            "delivery_loss",
+            "insert",
+            "remove",
+            "timer_bit",
         ],
     ),
+    ("crates/sim/src/app.rs", &["rng"]),
+    ("crates/sim/src/metrics.rs", &["lost_mut"]),
     // The calendar queue and frame arena exist precisely to keep the
     // per-event path allocation-free; every method on them is hot.
     (
@@ -651,6 +664,33 @@ pub fn check_hot_path_alloc(file: &ScannedFile, hot_fns: &[&str]) -> Vec<Diagnos
     out
 }
 
+/// XL000 (hot-path list): every name `hot_fns` lists for `file` must
+/// match a `fn` outside `#[cfg(test)]` code there; a stale name would
+/// otherwise drop out of the XL006 scan without a trace.
+pub fn check_hot_path_names(file: &ScannedFile, hot_fns: &[&str]) -> Vec<Diagnostic> {
+    let toks = &file.tokens;
+    let defined = |name: &str| {
+        (0..toks.len().saturating_sub(1)).any(|i| {
+            toks[i].is_ident("fn") && toks[i + 1].is_ident(name) && !file.is_test_line(toks[i].line)
+        })
+    };
+    hot_fns
+        .iter()
+        .filter(|name| !defined(name))
+        .map(|name| Diagnostic {
+            rule: RuleId::Xl000,
+            path: file.rel.clone(),
+            line: 0,
+            ident: (*name).to_string(),
+            message: format!(
+                "stale hot-path entry `{name}` matches no fn in {} — update HOT_PATHS \
+                 in crates/xlint/src/lib.rs",
+                file.rel
+            ),
+        })
+        .collect()
+}
+
 /// True when `corpus` contains the qualified path `enum_name::variant`
 /// outside `#[cfg(test)]` regions, optionally excluding one file.
 fn qualified_use_exists(
@@ -1008,7 +1048,10 @@ pub fn lint_workspace(root: &Path, config: &LintConfig) -> Result<LintReport, St
     raw.extend(dataflow_diagnostics(&corpus, &config.secrets));
     for (rel, fns) in HOT_PATHS {
         match by_rel(rel) {
-            Some(file) => raw.extend(check_hot_path_alloc(file, fns)),
+            Some(file) => {
+                raw.extend(check_hot_path_alloc(file, fns));
+                raw.extend(check_hot_path_names(file, fns));
+            }
             None => return Err(format!("hot-path file not found at {rel}")),
         }
     }

@@ -6,8 +6,8 @@
 use std::path::Path;
 use xlint::{
     check_config_hygiene, check_determinism, check_error_variants, check_forbid_unsafe,
-    check_hot_path_alloc, check_msg_exhaustiveness, check_panic_policy, Diagnostic, RuleId,
-    ScannedFile,
+    check_hot_path_alloc, check_hot_path_names, check_msg_exhaustiveness, check_panic_policy,
+    Diagnostic, RuleId, ScannedFile,
 };
 
 fn fixture(name: &str) -> ScannedFile {
@@ -164,6 +164,29 @@ fn hot_path_alloc_rule_flags_only_hot_function_bodies() {
         diags.iter().all(|d| d.line < cutoff),
         "a finding leaked into the #[cfg(test)] region: {diags:?}"
     );
+}
+
+#[test]
+fn stale_hot_path_names_are_reported() {
+    let file = fixture("bad_hotpath.rs");
+    // Both live names match a non-test `fn`: nothing to report.
+    assert!(check_hot_path_names(&file, &["deliver_frame", "handle_mac_attempt"]).is_empty());
+    // A renamed-away name, and one defined only inside `#[cfg(test)]`,
+    // are stale: XL000 names each, so the list cannot rot silently.
+    let diags = check_hot_path_names(
+        &file,
+        &[
+            "deliver_frame",
+            "renamed_away",
+            "hot_named_fn_in_test_region_is_exempt",
+        ],
+    );
+    assert!(diags.iter().all(|d| d.rule == RuleId::Xl000), "{diags:?}");
+    assert_eq!(
+        idents(&diags),
+        ["hot_named_fn_in_test_region_is_exempt", "renamed_away"]
+    );
+    assert!(diags[0].message.contains("HOT_PATHS"), "{diags:?}");
 }
 
 #[test]
