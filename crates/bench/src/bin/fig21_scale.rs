@@ -2,13 +2,10 @@
 //! `icpda_bench::experiments::fig21_scale`.
 //!
 //! ```text
-//! fig21_scale [--threads N] [--quick] [--shards K] [--obs-stream DIR]
+//! fig21_scale [--threads N] [--quick] [--obs-stream DIR] [--capture-only]
 //! ```
 //!
 //! * `--quick`    drop the 50k point and run one trial per size (CI)
-//! * `--shards K` run every engine with K event-loop shards — the
-//!   output is byte-identical for any K, which is what the scale-smoke
-//!   CI job verifies on this CSV
 //! * `--obs-stream DIR` additionally stream one fully instrumented run
 //!   at the largest configured size (spans + full event trace + engine
 //!   profile) through the bounded-memory exporter into DIR
@@ -21,8 +18,8 @@ use icpda_bench::parallel;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: fig21_scale [--threads N] [--quick] [--shards K] \
-[--obs-stream DIR] [--capture-only]";
+const USAGE: &str = "usage: fig21_scale [--threads N] [--quick] [--obs-stream DIR] \
+[--capture-only]";
 
 struct BinOpts {
     scale: ScaleOptions,
@@ -42,12 +39,6 @@ fn parse_opts() -> Result<Option<BinOpts>, String> {
         match arg.as_str() {
             "--help" | "-h" => return Ok(None),
             "--quick" => opts.scale.quick = true,
-            "--shards" => {
-                let raw = iter.next().ok_or("--shards needs a value")?;
-                opts.scale.shards = raw
-                    .parse()
-                    .map_err(|_| format!("--shards: cannot parse '{raw}'"))?;
-            }
             "--obs-stream" => {
                 let raw = iter.next().ok_or("--obs-stream needs a value")?;
                 opts.obs_stream = Some(PathBuf::from(raw));

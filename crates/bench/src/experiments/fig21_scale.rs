@@ -17,12 +17,12 @@
 //! artefact (the XL008 rule): it is reported on stderr only.
 
 use crate::parallel::par_map;
-use crate::perf::peak_rss_bytes;
 use crate::{f1, f3, mean, scaled_deployment, Table};
 use agg::tag::{run_tag, TagConfig};
 use agg::AggFunction;
 use icpda::{IcpdaConfig, IcpdaRun};
 use wsn_sim::prelude::*;
+use wsn_sim::profile::peak_rss_bytes;
 
 /// The size axis of the full sweep.
 pub const SCALE_SIZES: [usize; 4] = [600, 2_000, 10_000, 50_000];
@@ -39,10 +39,6 @@ const BS_TILES: usize = 4;
 pub struct ScaleOptions {
     /// Use [`QUICK_SIZES`] with one trial per point (CI smoke).
     pub quick: bool,
-    /// Event-loop shards for every engine run (0/1 = single shard; any
-    /// value produces byte-identical output — that identity is exactly
-    /// what the scale-smoke CI job checks on this figure's CSV).
-    pub shards: usize,
 }
 
 /// Seeded trials per size point.
@@ -90,12 +86,6 @@ fn tag_config_for(depth: u16) -> TagConfig {
     config
 }
 
-fn sim_config(shards: usize) -> SimConfig {
-    let mut sc = SimConfig::paper_default();
-    sc.shards = shards;
-    sc
-}
-
 /// One trial's measurements at one size point.
 struct Trial {
     degree: f64,
@@ -110,7 +100,7 @@ struct Trial {
     multi_lat: f64,
 }
 
-fn trial(n: usize, seed: u64, shards: usize) -> Trial {
+fn trial(n: usize, seed: u64) -> Trial {
     let dep = scaled_deployment(n, seed);
     let degree = dep.average_degree();
     let depth = depth_for(&dep);
@@ -123,12 +113,11 @@ fn trial(n: usize, seed: u64, shards: usize) -> Trial {
         readings.clone(),
         run_seed,
     )
-    .with_sim_config(sim_config(shards))
     .run();
 
     let t = run_tag(
         dep,
-        sim_config(shards),
+        SimConfig::paper_default(),
         tag_config_for(depth),
         &readings,
         run_seed,
@@ -153,7 +142,6 @@ fn trial(n: usize, seed: u64, shards: usize) -> Trial {
             treadings,
             run_seed.wrapping_add(tile),
         )
-        .with_sim_config(sim_config(shards))
         .run();
         multi_value += o.value;
         multi_truth += o.truth;
@@ -174,7 +162,7 @@ fn trial(n: usize, seed: u64, shards: usize) -> Trial {
     }
 }
 
-/// Regenerates Figure 21 with the default (full, single-shard) options.
+/// Regenerates Figure 21 with the default (full) options.
 ///
 /// # Errors
 ///
@@ -184,7 +172,7 @@ pub fn run() -> std::io::Result<()> {
 }
 
 /// Regenerates Figure 21 under explicit options (see the
-/// `fig21_scale` binary's `--quick` / `--shards` flags).
+/// `fig21_scale` binary's `--quick` flag).
 ///
 /// # Errors
 ///
@@ -222,9 +210,8 @@ pub fn run_with(opts: ScaleOptions) -> std::io::Result<()> {
             (0..trials_for(n, opts.quick)).map(move |s| (format!("n{n}/seed={s}"), (pi, s)))
         })
         .collect();
-    let shards = opts.shards;
     let outs = par_map("fig21_scale", jobs.clone(), |&(pi, seed)| {
-        trial(sizes[pi], seed, shards)
+        trial(sizes[pi], seed)
     });
     for (pi, &n) in sizes.iter().enumerate() {
         let trials: Vec<&Trial> = jobs
@@ -281,7 +268,7 @@ pub fn capture_stream(opts: ScaleOptions, dir: &std::path::Path) -> Result<(), S
     let run_seed = seed.wrapping_mul(31).wrapping_add(7);
     let (dep, build_ns) = wsn_sim::profile::time_host(|| scaled_deployment(n, seed));
     let depth = depth_for(&dep);
-    let mut sc = sim_config(opts.shards);
+    let mut sc = SimConfig::paper_default();
     sc.obs_level = ObsLevel::Full;
     sc.trace_level = wsn_sim::TraceLevel::Full;
     sc.profile = true;
@@ -293,7 +280,6 @@ pub fn capture_stream(opts: ScaleOptions, dir: &std::path::Path) -> Result<(), S
         git_rev: crate::perf::git_rev(),
         config: vec![
             ("nodes".to_string(), n.to_string()),
-            ("shards".to_string(), opts.shards.to_string()),
             ("depth".to_string(), depth.to_string()),
         ],
     };
@@ -369,22 +355,5 @@ mod tests {
         // Depth grows with sqrt(n): the 2k field is ~730 m, so ~8+ hops
         // from the central BS to a corner.
         assert!(depth_for(&d2k) >= 20);
-    }
-
-    #[test]
-    fn small_scale_point_is_shard_invariant() {
-        // The cheapest end-to-end identity check: one full trial at
-        // N=600, single-shard vs 4 shards, must agree exactly. The
-        // scale-smoke CI job does the same at N=2k on the real CSV.
-        let a = trial(600, 0, 1);
-        let b = trial(600, 0, 4);
-        assert_eq!(a.icpda_acc.to_bits(), b.icpda_acc.to_bits());
-        assert_eq!(a.icpda_lat.to_bits(), b.icpda_lat.to_bits());
-        assert_eq!(a.tag_acc.to_bits(), b.tag_acc.to_bits());
-        assert_eq!(a.multi_acc.to_bits(), b.multi_acc.to_bits());
-        assert_eq!(
-            a.icpda_bytes_per_node.to_bits(),
-            b.icpda_bytes_per_node.to_bits()
-        );
     }
 }

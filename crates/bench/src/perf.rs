@@ -449,18 +449,6 @@ pub fn capture_obs(dir: &std::path::Path, level: ObsLevel) -> Result<(), String>
     }
 }
 
-/// Host peak resident-set size (`VmHWM`) in bytes, read from
-/// `/proc/self/status`; `None` on platforms without procfs. This is a
-/// **host** fact like wall time: report it on stderr or in
-/// `BENCH_*.json`, never in a deterministic artefact (CSV/stdout) —
-/// the discipline the XL008 lint enforces. Delegates to the sim-side
-/// reader so the engine profile and the bench reports agree on the
-/// measurement.
-#[must_use]
-pub fn peak_rss_bytes() -> Option<u64> {
-    wsn_sim::profile::peak_rss_bytes()
-}
-
 /// Short git revision of the working tree, or `"unknown"` outside a
 /// repository — recorded in bench reports and observability manifests.
 #[must_use]

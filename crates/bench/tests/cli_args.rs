@@ -70,6 +70,7 @@ fn unknown_arguments_are_rejected() {
     assert_rejected(env!("CARGO_BIN_EXE_run_all"), &["--bogus"]);
     assert_rejected(env!("CARGO_BIN_EXE_fig3_accuracy"), &["--quick"]);
     assert_rejected(env!("CARGO_BIN_EXE_fig21_scale"), &["--bogus"]);
+    assert_rejected(env!("CARGO_BIN_EXE_fig21_scale"), &["--shards", "4"]);
     assert_rejected(env!("CARGO_BIN_EXE_bench"), &["--bogus"]);
     assert_rejected(env!("CARGO_BIN_EXE_render_topology"), &["extra"]);
 }

@@ -1,8 +1,8 @@
 //! The observability capture must be reproducible infrastructure:
 //! `spans.jsonl`, `metrics.jsonl` and (when streamed) `trace.jsonl` are
-//! byte-identical regardless of the worker-thread override or the
-//! event-loop shard count, because the simulation is single-threaded
-//! per run and all records are emitted in deterministic order. Only
+//! byte-identical regardless of the worker-thread override, because
+//! the simulation is single-threaded per run and all records are
+//! emitted in deterministic order. Only
 //! `manifest.json` records the thread count. The buffered in-memory
 //! exporter and the bounded-memory streaming exporter share one
 //! renderer per record kind, so their outputs must also agree byte for
@@ -60,15 +60,14 @@ fn obs_export_is_byte_identical_across_thread_counts() {
     let _ = std::fs::remove_dir_all(&base);
 }
 
-/// One small instrumented run, streamed to `dir` with `shards` engine
-/// shards, or buffered in memory when `dir` is `None` (returning the
-/// rendered spans/metrics text instead).
-fn capture(shards: usize, dir: Option<&Path>) -> Option<(String, String)> {
+/// One small instrumented run, streamed to `dir`, or buffered in memory
+/// when `dir` is `None` (returning the rendered spans/metrics text
+/// instead).
+fn capture(dir: Option<&Path>) -> Option<(String, String)> {
     let n = 120;
     let seed = 5;
     let config = IcpdaConfig::paper_default(AggFunction::Count);
     let mut sc = wsn_sim::SimConfig::paper_default();
-    sc.shards = shards;
     sc.obs_level = ObsLevel::Full;
     sc.trace_level = wsn_sim::TraceLevel::Full;
     let mut run = IcpdaRun::new(
@@ -102,23 +101,14 @@ fn capture(shards: usize, dir: Option<&Path>) -> Option<(String, String)> {
 }
 
 #[test]
-fn streamed_capture_is_shard_invariant_and_matches_buffered() {
-    let base = std::env::temp_dir().join(format!("icpda_obs_shards_{}", std::process::id()));
-    let s1 = base.join("s1");
-    let s4 = base.join("s4");
-    capture(1, Some(&s1));
-    capture(4, Some(&s4));
-    assert_same_files(
-        &s1,
-        &s4,
-        &["spans.jsonl", "metrics.jsonl", "trace.jsonl"],
-        "between 1 and 4 shards",
-    );
-    // Buffered twin of the single-shard run: the streaming exporter
-    // must reproduce the in-memory renderer byte for byte.
-    let (spans, metrics) = capture(1, None).expect("buffered capture");
-    let streamed_spans = std::fs::read_to_string(s1.join("spans.jsonl")).expect("spans");
-    let streamed_metrics = std::fs::read_to_string(s1.join("metrics.jsonl")).expect("metrics");
+fn streamed_capture_matches_buffered() {
+    let base = std::env::temp_dir().join(format!("icpda_obs_stream_{}", std::process::id()));
+    capture(Some(&base));
+    // Buffered twin of the streamed run: the streaming exporter must
+    // reproduce the in-memory renderer byte for byte.
+    let (spans, metrics) = capture(None).expect("buffered capture");
+    let streamed_spans = std::fs::read_to_string(base.join("spans.jsonl")).expect("spans");
+    let streamed_metrics = std::fs::read_to_string(base.join("metrics.jsonl")).expect("metrics");
     assert_eq!(spans, streamed_spans, "spans: streamed != buffered");
     assert_eq!(metrics, streamed_metrics, "metrics: streamed != buffered");
 

@@ -222,7 +222,6 @@ pub fn run(args: &Args) -> Result<(), ParseArgsError> {
             "churn",
             "adversary",
             "adversary-mode",
-            "shards",
             "obs-out",
             "obs-stream",
         ],
@@ -242,9 +241,6 @@ pub fn run(args: &Args) -> Result<(), ParseArgsError> {
     config.rounds = args.get_or("rounds", 1)?;
     config.reliability = parse_reliability(args)?;
     let (mut sim, channel) = parse_sim_config(args)?;
-    // Event-loop shards (0/1 = single shard). Any count produces
-    // byte-identical output; the flag exists for the scale experiments.
-    sim.shards = args.get_or("shards", 0)?;
     let obs_out = args.get("obs-out").map(std::path::PathBuf::from);
     let obs_stream = args.get("obs-stream").map(std::path::PathBuf::from);
     if obs_out.is_some() && obs_stream.is_some() {

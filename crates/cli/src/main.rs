@@ -55,7 +55,7 @@ COMMANDS:
               with p50/p95/p99 quantile columns)
               [--against DIR (diff two runs)] [--warn-pct P (10)]
               profile --dir DIR [--top K (10)] (engine self-profile:
-              hot phases, per-shard imbalance, RSS high-water)
+              hot phases, gauges, RSS high-water)
     help      this text (also --help or -h, after any command)
 ";
 

@@ -33,3 +33,17 @@ fn a_flag_without_a_value_still_fails() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("needs a value"));
 }
+
+#[test]
+fn an_unknown_flag_fails_instead_of_running() {
+    let out = Command::new(env!("CARGO_BIN_EXE_icpda"))
+        .args(["run", "--shards", "4"])
+        .output()
+        .expect("icpda runs");
+    assert!(!out.status.success(), "{out:?}");
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("unknown flags"),
+        "{out:?}"
+    );
+    assert!(out.stdout.is_empty(), "{out:?}");
+}

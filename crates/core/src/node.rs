@@ -413,25 +413,6 @@ impl IcpdaNode {
         }
     }
 
-    /// Raw `(roster_position, contributor_mask)` pairs of the assemblies
-    /// this node collected — diagnostic aid for cluster-failure analysis.
-    #[doc(hidden)]
-    #[must_use]
-    pub fn debug_fsums(&self) -> Vec<(usize, u64)> {
-        let mut v: Vec<(usize, u64)> = self.fsums.iter().map(|(&p, &(_, m))| (p, m)).collect();
-        v.sort_unstable();
-        v
-    }
-
-    /// Senders whose shares this node holds — diagnostic aid.
-    #[doc(hidden)]
-    #[must_use]
-    pub fn debug_shares_from(&self) -> Vec<NodeId> {
-        let mut v: Vec<NodeId> = self.received_shares.keys().copied().collect();
-        v.sort_unstable();
-        v
-    }
-
     /// The base station's decision for the most recent completed round
     /// (node 0 only).
     #[must_use]

@@ -97,7 +97,7 @@ impl IcpdaRun {
     /// `trace.jsonl` through a fixed-size buffer, and `finish` writes
     /// `manifest.json` + `metrics.jsonl` — all through the same renderers
     /// as the buffered exporter, so the files are byte-identical to
-    /// [`icpda_obs::export::write_dir`]'s at any thread or shard count.
+    /// [`icpda_obs::export::write_dir`]'s at any thread count.
     /// The outcome's [`IcpdaOutcome::stream`] summarises what was
     /// written; I/O failures are reported there, never panicked on.
     #[must_use]

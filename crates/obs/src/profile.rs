@@ -11,10 +11,12 @@
 //!
 //! Line shapes (one compact JSON object per line):
 //!
-//! * `{"kind":"meta","schema_version":1,"shards":K,"events":N,"rss_hwm_bytes":B}`
-//! * `{"kind":"section","name":"engine.dispatch.delivery","shard":0,"events":N,"wall_ns":W}`
-//!   (external sections such as `setup.neighbor_build` omit `shard`)
+//! * `{"kind":"meta","schema_version":1,"events":N,"rss_hwm_bytes":B}`
+//! * `{"kind":"section","name":"engine.dispatch.delivery","events":N,"wall_ns":W}`
 //! * `{"kind":"gauge","name":"arena.peak_outstanding","value":V}`
+//!
+//! Keys the reader does not know are ignored, so captures written by
+//! earlier versions of the engine, which carried more keys, still parse.
 
 use crate::export::check_schema_version;
 use crate::json::{self, Json};
@@ -26,8 +28,6 @@ use std::fmt::Write as _;
 pub struct SectionRow {
     /// Section name, e.g. `engine.next_event`.
     pub name: String,
-    /// Owning shard, or `None` for whole-run sections.
-    pub shard: Option<u32>,
     /// Events attributed to the section.
     pub events: u64,
     /// Wall-clock time attributed to the section, nanoseconds.
@@ -37,8 +37,6 @@ pub struct SectionRow {
 /// A fully parsed `profile.jsonl`.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ProfileRun {
-    /// Shard count of the profiled run.
-    pub shards: u64,
     /// Events the engine processed.
     pub events: u64,
     /// Process peak RSS (VmHWM) when the profile was written, bytes.
@@ -79,7 +77,6 @@ pub fn parse_profile(text: &str) -> Result<ProfileRun, String> {
             Some("meta") => {
                 check_schema_version(&doc, "profile.jsonl")?;
                 saw_meta = true;
-                run.shards = num("shards")? as u64;
                 run.events = num("events")? as u64;
                 run.rss_hwm_bytes = doc
                     .get("rss_hwm_bytes")
@@ -88,7 +85,6 @@ pub fn parse_profile(text: &str) -> Result<ProfileRun, String> {
             }
             Some("section") => run.sections.push(SectionRow {
                 name: name()?,
-                shard: doc.get("shard").and_then(Json::as_f64).map(|v| v as u32),
                 events: num("events")? as u64,
                 wall_ns: num("wall_ns")? as u64,
             }),
@@ -107,8 +103,8 @@ fn ms(ns: u64) -> f64 {
     ns as f64 / 1e6
 }
 
-/// Renders the profile report: top-`top` hot sections by wall time, the
-/// per-shard imbalance table, gauges, and the RSS high-water mark.
+/// Renders the profile report: top-`top` hot sections by wall time,
+/// gauges, and the RSS high-water mark.
 #[must_use]
 pub fn render_profile(run: &ProfileRun, top: usize) -> String {
     let mut out = String::new();
@@ -118,12 +114,14 @@ pub fn render_profile(run: &ProfileRun, top: usize) -> String {
     };
     let _ = writeln!(
         out,
-        "engine profile — {} shard(s), {} events, RSS high-water {rss}",
-        run.shards, run.events
+        "engine profile — {} events, RSS high-water {rss}",
+        run.events
     );
     let _ = writeln!(out);
 
-    // Top-k hot sections, aggregated over shards.
+    // Top-k hot sections. Captures from earlier engine versions repeat
+    // a name once per event-loop partition; summing renders them like
+    // current ones.
     let mut by_name: BTreeMap<&str, (u64, u64)> = BTreeMap::new();
     for s in &run.sections {
         let e = by_name.entry(&s.name).or_default();
@@ -163,48 +161,6 @@ pub fn render_profile(run: &ProfileRun, top: usize) -> String {
         );
     }
 
-    // Per-shard imbalance over the sharded sections.
-    let mut by_shard: BTreeMap<u32, (u64, u64)> = BTreeMap::new();
-    for s in &run.sections {
-        if let Some(shard) = s.shard {
-            let e = by_shard.entry(shard).or_default();
-            e.0 += s.events;
-            e.1 += s.wall_ns;
-        }
-    }
-    if by_shard.len() > 1 {
-        let mean_ns =
-            by_shard.values().map(|(_, ns)| *ns).sum::<u64>() as f64 / by_shard.len() as f64;
-        let max_ns = by_shard.values().map(|(_, ns)| *ns).max().unwrap_or(0);
-        let _ = writeln!(out);
-        let _ = writeln!(
-            out,
-            "{:<8} {:>12} {:>10} {:>9}",
-            "shard", "events", "wall ms", "vs mean"
-        );
-        for (shard, (events, ns)) in &by_shard {
-            let vs = if mean_ns > 0.0 {
-                *ns as f64 / mean_ns
-            } else {
-                0.0
-            };
-            let _ = writeln!(
-                out,
-                "{:<8} {:>12} {:>10.2} {:>8.2}x",
-                shard,
-                events,
-                ms(*ns),
-                vs
-            );
-        }
-        let imbalance = if mean_ns > 0.0 {
-            max_ns as f64 / mean_ns
-        } else {
-            0.0
-        };
-        let _ = writeln!(out, "shard imbalance (max/mean wall): {imbalance:.2}x");
-    }
-
     if !run.gauges.is_empty() {
         let _ = writeln!(out);
         let _ = writeln!(out, "{:<40} {:>12}", "gauge", "value");
@@ -220,6 +176,18 @@ mod tests {
     use super::*;
 
     const SAMPLE: &str = concat!(
+        "{\"kind\":\"meta\",\"schema_version\":1,\"events\":1000,\"rss_hwm_bytes\":52428800}\n",
+        "{\"kind\":\"section\",\"name\":\"engine.next_event\",\"events\":1000,\"wall_ns\":8000000}\n",
+        "{\"kind\":\"section\",\"name\":\"engine.dispatch.delivery\",\"events\":300,\"wall_ns\":9000000}\n",
+        "{\"kind\":\"section\",\"name\":\"setup.neighbor_build\",\"events\":1,\"wall_ns\":1500000}\n",
+        "{\"kind\":\"gauge\",\"name\":\"arena.peak_outstanding\",\"value\":12}\n",
+    );
+
+    /// `SAMPLE` as an earlier engine version wrote it: its event loop
+    /// was split into partitions, so the meta line counts them and the
+    /// loop's sections come one row per partition, each with its index.
+    /// The reader must keep accepting such captures.
+    const LEGACY: &str = concat!(
         "{\"kind\":\"meta\",\"schema_version\":1,\"shards\":2,\"events\":1000,\"rss_hwm_bytes\":52428800}\n",
         "{\"kind\":\"section\",\"name\":\"engine.next_event\",\"shard\":0,\"events\":500,\"wall_ns\":2000000}\n",
         "{\"kind\":\"section\",\"name\":\"engine.next_event\",\"shard\":1,\"events\":500,\"wall_ns\":6000000}\n",
@@ -230,36 +198,41 @@ mod tests {
 
     #[test]
     fn parses_every_row_kind() {
-        let run = parse_profile(SAMPLE).expect("parse");
-        assert_eq!(run.shards, 2);
-        assert_eq!(run.events, 1000);
-        assert_eq!(run.rss_hwm_bytes, Some(50 << 20));
-        assert_eq!(run.sections.len(), 4);
-        assert_eq!(run.sections[3].shard, None, "external section has no shard");
-        assert_eq!(run.gauges, vec![("arena.peak_outstanding".to_string(), 12)]);
+        for (text, sections) in [(SAMPLE, 3), (LEGACY, 4)] {
+            let run = parse_profile(text).expect("parse");
+            assert_eq!(run.events, 1000);
+            assert_eq!(run.rss_hwm_bytes, Some(50 << 20));
+            assert_eq!(run.sections.len(), sections);
+            assert_eq!(run.sections[0].name, "engine.next_event");
+            assert_eq!(run.gauges, vec![("arena.peak_outstanding".to_string(), 12)]);
+        }
+        // Old captures render exactly like the current format: repeated
+        // section names accumulate and the extra keys are ignored.
+        assert_eq!(
+            render_profile(&parse_profile(LEGACY).expect("legacy"), 10),
+            render_profile(&parse_profile(SAMPLE).expect("sample"), 10)
+        );
     }
 
     #[test]
     fn rejects_foreign_or_versionless_files() {
         assert!(parse_profile("").is_err());
-        assert!(parse_profile("{\"kind\":\"meta\",\"shards\":1,\"events\":0}").is_err());
+        assert!(parse_profile("{\"kind\":\"meta\",\"events\":0}").is_err());
         assert!(parse_profile("{\"kind\":\"mystery\"}").is_err());
     }
 
     #[test]
-    fn report_ranks_sections_and_shows_imbalance() {
+    fn report_ranks_sections_and_lists_gauges() {
         let run = parse_profile(SAMPLE).expect("parse");
         let text = render_profile(&run, 3);
         assert!(text.contains("RSS high-water 52.4 MB"), "{text}");
-        // dispatch.delivery (9ms) outranks next_event (8ms combined).
+        // dispatch.delivery (9ms) outranks next_event (8ms).
         let dispatch = text.find("engine.dispatch.delivery").expect("dispatch row");
         let next = text.find("engine.next_event").expect("next_event row");
         assert!(
             dispatch < next,
             "hot sections not ranked by wall time:\n{text}"
         );
-        assert!(text.contains("shard imbalance"), "{text}");
-        // Shard 1 carries 6ms of 5.5ms mean pop time -> > 1x.
         assert!(text.contains("arena.peak_outstanding"), "{text}");
     }
 

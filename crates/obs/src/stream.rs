@@ -20,7 +20,7 @@
 //! ([`crate::export::write_span_line`], `metrics_jsonl`, the trace-entry
 //! renderer in `wsn-sim`), shared between the buffered and streaming
 //! paths, so for a given seed the streamed files `cmp` equal to the
-//! in-memory exporter's at any harness thread count or shard count.
+//! in-memory exporter's at any harness thread count.
 //!
 //! **Error model:** the engine calls the sink from its event loop, where
 //! a per-record `io::Result` has nowhere to go — the first I/O error is

@@ -2,10 +2,9 @@
 //!
 //! When [`SimConfig::profile`] is set, the engine timestamps each
 //! `next_event` iteration and attributes the wall time to the pop (the
-//! k-way calendar merge) and to the dispatched phase, per shard. The
-//! result is written as `profile.jsonl` and rendered by
-//! `icpda obs profile` (top-k hot sections, per-shard imbalance, RSS
-//! high-water).
+//! calendar lookup) and to the dispatched phase. The result is written
+//! as `profile.jsonl` and rendered by `icpda obs profile` (top-k hot
+//! sections, gauges, RSS high-water).
 //!
 //! **Determinism:** this module is the *only* place in `wsn-sim` that
 //! touches the host clock, and the readings flow exclusively into
@@ -45,38 +44,27 @@ impl Stamp {
     }
 }
 
+/// Accumulates wall-clock attribution during a run.
 #[derive(Clone, Debug, Default)]
-struct ShardStats {
+pub struct EngineProfiler {
+    enabled: bool,
     pop_ns: u64,
     pops: u64,
     dispatch_ns: [u64; 6],
     dispatch_events: [u64; 6],
     peak_queue: usize,
-}
-
-/// Accumulates per-shard wall-clock attribution during a run.
-#[derive(Clone, Debug, Default)]
-pub struct EngineProfiler {
-    enabled: bool,
-    shards: Vec<ShardStats>,
     /// Whole-run sections timed outside the event loop
     /// (`setup.neighbor_build` etc.): `(name, events, wall_ns)`.
     external: Vec<(String, u64, u64)>,
 }
 
 impl EngineProfiler {
-    /// A profiler for `shards` shards; disabled profilers cost one
-    /// branch per event and hold no per-shard state.
+    /// A profiler; a disabled one costs one branch per event.
     #[must_use]
-    pub fn new(enabled: bool, shards: usize) -> Self {
+    pub fn new(enabled: bool) -> Self {
         EngineProfiler {
             enabled,
-            shards: if enabled {
-                vec![ShardStats::default(); shards.max(1)]
-            } else {
-                Vec::new()
-            },
-            external: Vec::new(),
+            ..EngineProfiler::default()
         }
     }
 
@@ -97,37 +85,32 @@ impl EngineProfiler {
         }
     }
 
-    /// Closes the pop (k-way merge) interval opened by `lap_start`,
-    /// attributing it to `shard` and sampling that shard's queue length
-    /// for the occupancy gauge. Returns the stamp opening the dispatch
-    /// interval.
+    /// Closes the pop interval opened by `lap_start`, sampling the
+    /// queue length for the occupancy gauge. Returns the stamp opening
+    /// the dispatch interval.
     #[must_use]
-    pub fn lap_pop(&mut self, stamp: Stamp, shard: usize, queue_len: usize) -> Stamp {
+    pub fn lap_pop(&mut self, stamp: Stamp, queue_len: usize) -> Stamp {
         let Some(t0) = stamp.0 else {
             return Stamp::none();
         };
         let now = Instant::now();
-        if let Some(s) = self.shards.get_mut(shard) {
-            s.pop_ns += now.duration_since(t0).as_nanos() as u64;
-            s.pops += 1;
-            s.peak_queue = s.peak_queue.max(queue_len);
-        }
+        self.pop_ns += now.duration_since(t0).as_nanos() as u64;
+        self.pops += 1;
+        self.peak_queue = self.peak_queue.max(queue_len);
         Stamp(Some(now))
     }
 
     /// Closes the dispatch interval opened by [`EngineProfiler::lap_pop`],
-    /// attributing it to `shard` and dispatch phase `phase` (an index
-    /// into [`DISPATCH_PHASES`]).
-    pub fn lap_dispatch(&mut self, stamp: Stamp, shard: usize, phase: usize) {
+    /// attributing it to dispatch phase `phase` (an index into
+    /// [`DISPATCH_PHASES`]).
+    pub fn lap_dispatch(&mut self, stamp: Stamp, phase: usize) {
         let Some(t1) = stamp.0 else {
             return;
         };
         let elapsed = t1.elapsed().as_nanos() as u64;
-        if let Some(s) = self.shards.get_mut(shard) {
-            if let Some(slot) = s.dispatch_ns.get_mut(phase) {
-                *slot += elapsed;
-                s.dispatch_events[phase] += 1;
-            }
+        if let Some(slot) = self.dispatch_ns.get_mut(phase) {
+            *slot += elapsed;
+            self.dispatch_events[phase] += 1;
         }
     }
 
@@ -153,26 +136,21 @@ impl EngineProfiler {
     #[must_use]
     pub fn finish(&self, events: u64, mut gauges: Vec<(String, i64)>) -> EngineProfile {
         let mut sections = Vec::new();
-        for (i, s) in self.shards.iter().enumerate() {
-            let shard = Some(i as u32);
-            sections.push(("engine.next_event".to_string(), shard, s.pops, s.pop_ns));
+        if self.enabled {
+            sections.push(("engine.next_event".to_string(), self.pops, self.pop_ns));
             for (p, label) in DISPATCH_PHASES.iter().enumerate() {
-                if s.dispatch_events[p] > 0 {
+                if self.dispatch_events[p] > 0 {
                     sections.push((
                         format!("engine.dispatch.{label}"),
-                        shard,
-                        s.dispatch_events[p],
-                        s.dispatch_ns[p],
+                        self.dispatch_events[p],
+                        self.dispatch_ns[p],
                     ));
                 }
             }
-            gauges.push((format!("calendar.peak_len.shard{i}"), s.peak_queue as i64));
+            gauges.push(("calendar.peak_len".to_string(), self.peak_queue as i64));
         }
-        for (name, evts, ns) in &self.external {
-            sections.push((name.clone(), None, *evts, *ns));
-        }
+        sections.extend(self.external.iter().cloned());
         EngineProfile {
-            shards: self.shards.len(),
             events,
             sections,
             gauges,
@@ -185,12 +163,10 @@ impl EngineProfiler {
 /// back by `icpda_obs::profile`).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct EngineProfile {
-    /// Shard count of the profiled run.
-    pub shards: usize,
     /// Events the engine processed.
     pub events: u64,
-    /// `(name, shard, events, wall_ns)` attribution rows.
-    pub sections: Vec<(String, Option<u32>, u64, u64)>,
+    /// `(name, events, wall_ns)` attribution rows.
+    pub sections: Vec<(String, u64, u64)>,
     /// Engine occupancy gauges (arena outstanding, calendar peaks, ...).
     pub gauges: Vec<(String, i64)>,
     /// Process peak RSS (VmHWM) at freeze time, if the platform exposes
@@ -207,23 +183,18 @@ impl EngineProfile {
         let mut out = String::new();
         let _ = write!(
             out,
-            "{{\"kind\":\"meta\",\"schema_version\":{},\"shards\":{},\"events\":{}",
+            "{{\"kind\":\"meta\",\"schema_version\":{},\"events\":{}",
             icpda_obs::export::OBS_SCHEMA_VERSION,
-            self.shards,
             self.events
         );
         if let Some(rss) = self.rss_hwm_bytes {
             let _ = write!(out, ",\"rss_hwm_bytes\":{rss}");
         }
         out.push_str("}\n");
-        for (name, shard, events, wall_ns) in &self.sections {
+        for (name, events, wall_ns) in &self.sections {
             out.push_str("{\"kind\":\"section\",\"name\":\"");
             icpda_obs::json::escape_into(&mut out, name);
-            out.push('"');
-            if let Some(s) = shard {
-                let _ = write!(out, ",\"shard\":{s}");
-            }
-            let _ = writeln!(out, ",\"events\":{events},\"wall_ns\":{wall_ns}}}");
+            let _ = writeln!(out, "\",\"events\":{events},\"wall_ns\":{wall_ns}}}");
         }
         for (name, value) in &self.gauges {
             out.push_str("{\"kind\":\"gauge\",\"name\":\"");
@@ -244,7 +215,9 @@ pub fn time_host<T>(f: impl FnOnce() -> T) -> (T, u64) {
 }
 
 /// The process's peak resident set size (Linux `VmHWM`), in bytes.
-/// `None` where `/proc/self/status` is unavailable.
+/// `None` where `/proc/self/status` is unavailable. A host fact like
+/// wall time: report it on stderr or in a host-facts artefact, never in
+/// a deterministic one (the discipline rule XL008 enforces).
 #[must_use]
 pub fn peak_rss_bytes() -> Option<u64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
@@ -263,50 +236,50 @@ mod tests {
 
     #[test]
     fn disabled_profiler_issues_empty_stamps_and_empty_profile() {
-        let mut p = EngineProfiler::new(false, 4);
+        let mut p = EngineProfiler::new(false);
         assert!(!p.enabled());
         let s = p.lap_start();
-        let s = p.lap_pop(s, 0, 10);
-        p.lap_dispatch(s, 0, 3);
+        let s = p.lap_pop(s, 10);
+        p.lap_dispatch(s, 3);
         p.record_external("setup.neighbor_build", 1, 1_000_000);
         let profile = p.finish(99, Vec::new());
-        assert_eq!(profile.shards, 0);
         assert!(profile.sections.is_empty());
+        assert!(profile.gauges.is_empty());
         assert_eq!(profile.events, 99);
     }
 
     #[test]
-    fn enabled_profiler_attributes_per_shard_and_phase() {
-        let mut p = EngineProfiler::new(true, 2);
+    fn enabled_profiler_attributes_per_phase() {
+        let mut p = EngineProfiler::new(true);
         for _ in 0..3 {
             let s = p.lap_start();
-            let s = p.lap_pop(s, 1, 7);
-            p.lap_dispatch(s, 1, 3); // delivery
+            let s = p.lap_pop(s, 7);
+            p.lap_dispatch(s, 3); // delivery
         }
         let s = p.lap_start();
-        let s = p.lap_pop(s, 0, 2);
-        p.lap_dispatch(s, 0, 0); // timer
+        let s = p.lap_pop(s, 2);
+        p.lap_dispatch(s, 0); // timer
         p.record_external("setup.neighbor_build", 1, 5_000);
         let profile = p.finish(4, vec![("arena.peak_outstanding".into(), 12)]);
 
-        let find = |name: &str, shard: Option<u32>| {
+        let find = |name: &str| {
             profile
                 .sections
                 .iter()
-                .find(|(n, s, _, _)| n == name && *s == shard)
-                .map(|(_, _, events, _)| *events)
+                .find(|(n, _, _)| n == name)
+                .map(|(_, events, _)| *events)
         };
-        assert_eq!(find("engine.next_event", Some(1)), Some(3));
-        assert_eq!(find("engine.dispatch.delivery", Some(1)), Some(3));
-        assert_eq!(find("engine.dispatch.timer", Some(0)), Some(1));
-        // Phases with zero events are omitted, externals carry no shard.
-        assert_eq!(find("engine.dispatch.redelivery", Some(0)), None);
-        assert_eq!(find("setup.neighbor_build", None), Some(1));
-        // Occupancy gauges: caller-provided plus per-shard queue peaks.
+        assert_eq!(find("engine.next_event"), Some(4));
+        assert_eq!(find("engine.dispatch.delivery"), Some(3));
+        assert_eq!(find("engine.dispatch.timer"), Some(1));
+        // Phases with zero events are omitted; externals follow.
+        assert_eq!(find("engine.dispatch.redelivery"), None);
+        assert_eq!(find("setup.neighbor_build"), Some(1));
+        // Occupancy gauges: caller-provided plus the queue peak.
         assert!(profile
             .gauges
             .iter()
-            .any(|(n, v)| n == "calendar.peak_len.shard1" && *v == 7));
+            .any(|(n, v)| n == "calendar.peak_len" && *v == 7));
         assert!(profile
             .gauges
             .iter()
@@ -315,14 +288,13 @@ mod tests {
 
     #[test]
     fn profile_jsonl_round_trips_through_the_obs_reader() {
-        let mut p = EngineProfiler::new(true, 1);
+        let mut p = EngineProfiler::new(true);
         let s = p.lap_start();
-        let s = p.lap_pop(s, 0, 3);
-        p.lap_dispatch(s, 0, 1);
+        let s = p.lap_pop(s, 3);
+        p.lap_dispatch(s, 1);
         let profile = p.finish(1, vec![("arena.peak_outstanding".into(), 2)]);
         let text = profile.to_jsonl();
         let run = icpda_obs::profile::parse_profile(&text).expect("parse back");
-        assert_eq!(run.shards, 1);
         assert_eq!(run.events, 1);
         assert_eq!(run.sections.len(), profile.sections.len());
         assert!(run

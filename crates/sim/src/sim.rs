@@ -1,11 +1,11 @@
 //! The discrete-event simulation engine.
 //!
 //! [`Simulator`] owns the deployment, one [`Application`] instance per
-//! node, per-node MAC state, the event heap and the metrics. It is
-//! single-threaded and fully deterministic: running the same protocol on
-//! the same deployment with the same seed produces an identical event
-//! trace, which is what makes the paper's seeded multi-trial experiments
-//! reproducible.
+//! node, per-node MAC state, the calendar queue of pending events and
+//! the metrics. It is single-threaded and fully deterministic: running
+//! the same protocol on the same deployment with the same seed produces
+//! an identical event trace, which is what makes the paper's seeded
+//! multi-trial experiments reproducible.
 //!
 //! # Medium model
 //!
@@ -59,16 +59,8 @@ pub struct SimConfig {
     /// [`ObsLevel`]; `Off` by default — one branch per instrumentation
     /// point, no allocation, byte-identical engine behavior).
     pub obs_level: ObsLevel,
-    /// Spatial shards of the event loop: the deployment region is cut
-    /// into this many vertical strips, each with its own calendar queue,
-    /// merged in strict `(time, seq)` order. `0` and `1` both mean a
-    /// single shard. Any shard count produces **byte-identical** traces,
-    /// metrics and results — the merge is the same total event order the
-    /// single queue yields (see DESIGN §13 for the conservative-lookahead
-    /// argument this partitioning is built for).
-    pub shards: usize,
     /// Engine self-profiling (see [`crate::profile`]): wall-clock
-    /// attribution of pop/dispatch per shard, frozen into
+    /// attribution of pop/dispatch per event kind, frozen into
     /// `profile.jsonl` via [`Simulator::engine_profile`]. Host-facts
     /// only — the simulation never observes the readings, so traces stay
     /// byte-identical with profiling on or off.
@@ -320,12 +312,8 @@ pub struct Simulator<A: Application> {
     deployment: Deployment,
     config: SimConfig,
     now: SimTime,
-    /// One calendar queue per spatial shard; `next_event` merges them in
-    /// strict `(time, seq)` order, so the executed event sequence is
-    /// independent of the shard count.
-    queues: Vec<CalendarQueue<EventKind<A::Message>>>,
-    /// Shard index per node (all zeros for a single shard).
-    shard_of: Vec<u32>,
+    /// Pending events in `(time, seq)` order.
+    queue: CalendarQueue<EventKind<A::Message>>,
     event_seq: u64,
     frame_seq: u64,
     next_timer_id: u64,
@@ -381,25 +369,6 @@ impl<A: Application> Simulator<A> {
         let apps: Vec<A> = (0..n as u32).map(|i| build(NodeId::new(i))).collect();
         let rngs = vec![None; n];
         let mac = (0..n).map(|_| MacState::default()).collect();
-        let shards = config.shards.clamp(1, n.max(1));
-        let shard_of = if shards == 1 {
-            vec![0u32; n]
-        } else {
-            // Vertical strips of equal width: radio range bounds how fast
-            // events propagate between strips, which is the conservative
-            // lookahead window DESIGN §13 builds on. The cut only affects
-            // which queue holds an event, never its execution order.
-            let width = deployment.region().width.max(f64::MIN_POSITIVE);
-            (0..n)
-                .map(|i| {
-                    let x = deployment.position(NodeId::new(i as u32)).x;
-                    (((x / width) * shards as f64) as usize).min(shards - 1) as u32
-                })
-                .collect()
-        };
-        let queues = (0..shards)
-            .map(|_| CalendarQueue::for_nodes(n / shards + 1))
-            .collect();
         let mut trace = Trace::with_level(config.trace_capacity, config.trace_level);
         if config.flight_rounds > 0 && config.trace_level > TraceLevel::Off {
             trace.set_flight(config.flight_rounds);
@@ -411,8 +380,7 @@ impl<A: Application> Simulator<A> {
             deployment,
             config,
             now: SimTime::ZERO,
-            queues,
-            shard_of,
+            queue: CalendarQueue::for_nodes(n + 1),
             event_seq: 0,
             frame_seq: 0,
             next_timer_id: 0,
@@ -433,7 +401,7 @@ impl<A: Application> Simulator<A> {
             channel_rng: ChaCha8Rng::seed_from_u64(
                 seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xC4A2_2E10_5EED_0002,
             ),
-            profiler: EngineProfiler::new(config.profile, shards),
+            profiler: EngineProfiler::new(config.profile),
         }
     }
 
@@ -639,30 +607,11 @@ impl<A: Application> Simulator<A> {
         std::mem::take(&mut self.obs)
     }
 
-    /// Shard owning `kind`: the shard of the node the event acts on
-    /// (a delivery belongs to its transmitter's shard — the receivers'
-    /// radios were already updated at transmission start).
-    fn shard_of_kind(&self, kind: &EventKind<A::Message>) -> usize {
-        if self.queues.len() == 1 {
-            return 0;
-        }
-        let node = match kind {
-            EventKind::Timer { node, .. }
-            | EventKind::MacAttempt { node }
-            | EventKind::TxEnd { node }
-            | EventKind::FaultEdge { node }
-            | EventKind::Redelivery { node, .. } => *node,
-            EventKind::Delivery { frame, .. } => frame.src,
-        };
-        self.shard_of[node.index()] as usize
-    }
-
     fn schedule(&mut self, time: SimTime, kind: EventKind<A::Message>) {
         debug_assert!(time >= self.now, "scheduling into the past");
         let seq = self.event_seq;
         self.event_seq += 1;
-        let shard = self.shard_of_kind(&kind);
-        self.queues[shard].push(time, seq, kind);
+        self.queue.push(time, seq, kind);
     }
 
     /// Runs `on_start` on every node (idempotent; run_* call it lazily).
@@ -1150,40 +1099,27 @@ impl<A: Application> Simulator<A> {
     }
 
     /// Pops and executes the next due event, if any is due at or before
-    /// `deadline`. Returns `false` when the queues are empty or the next
+    /// `deadline`. Returns `false` when the queue is empty or the next
     /// event lies beyond the deadline. This is the single pop site shared
     /// by [`Simulator::step`], [`Simulator::run_until`] and
-    /// [`Simulator::run_to_quiescence`]. With multiple shards this is the
-    /// k-way merge: the argmin over per-shard heads on `(time, seq)` keys
-    /// reproduces the exact total order a single queue would yield.
+    /// [`Simulator::run_to_quiescence`].
     fn next_event(&mut self, deadline: SimTime) -> bool {
-        // Stamped before the argmin so pop attribution covers the whole
-        // k-way merge; iterations that find no due event discard it.
+        // Stamped before the peek so pop attribution covers the whole
+        // calendar lookup; iterations that find no due event discard it.
         let t0 = self.profiler.lap_start();
-        let mut best: Option<((SimTime, u64), usize)> = None;
-        for s in 0..self.queues.len() {
-            if let Some(key) = self.queues[s].peek_key() {
-                if best.is_none_or(|(bk, _)| key < bk) {
-                    best = Some((key, s));
-                }
-            }
+        match self.queue.peek_key() {
+            Some((time, _)) if time <= deadline => {}
+            _ => return false,
         }
-        let Some(((time, _), shard)) = best else {
-            return false;
-        };
-        if time > deadline {
-            return false;
-        }
-        let Some((time, _seq, kind)) = self.queues[shard].pop() else {
+        let Some((time, _seq, kind)) = self.queue.pop() else {
             return false;
         };
         debug_assert!(time >= self.now, "event time went backwards");
         self.now = time;
         if self.profiler.enabled() {
-            // Pop attribution covers the k-way merge plus the calendar
-            // pop; the queue length sampled here feeds the occupancy
-            // gauge. Dispatch attribution is keyed by the event phase.
-            let queue_len = self.queues[shard].len();
+            // The queue length sampled here feeds the occupancy gauge.
+            // Dispatch attribution is keyed by the event phase.
+            let queue_len = self.queue.len();
             let phase = match &kind {
                 EventKind::Timer { .. } => 0,
                 EventKind::MacAttempt { .. } => 1,
@@ -1192,9 +1128,9 @@ impl<A: Application> Simulator<A> {
                 EventKind::FaultEdge { .. } => 4,
                 EventKind::Redelivery { .. } => 5,
             };
-            let t1 = self.profiler.lap_pop(t0, shard, queue_len);
+            let t1 = self.profiler.lap_pop(t0, queue_len);
             self.execute(kind);
-            self.profiler.lap_dispatch(t1, shard, phase);
+            self.profiler.lap_dispatch(t1, phase);
         } else {
             self.execute(kind);
         }
