@@ -323,53 +323,26 @@ pub fn run_tag(
     readings: &[u64],
     seed: u64,
 ) -> TagRunOutcome {
-    run_tag_with_faults(
-        deployment,
-        sim_config,
-        tag_config,
-        readings,
-        seed,
-        &FaultPlan::none(),
-    )
-}
-
-/// [`run_tag`] under node churn: `plan`'s crashes and outages are
-/// enforced by the simulator, and ground truth narrows to the sensors
-/// alive when the reporting epoch starts (the moment readings are
-/// captured). TAG has no recovery of its own — a dead relay silently
-/// costs its whole subtree — which is exactly the contrast the churn
-/// experiment measures.
-///
-/// # Panics
-///
-/// Panics if `readings.len() != deployment.len()` (entry 0 is ignored).
-#[must_use]
-pub fn run_tag_with_faults(
-    deployment: Deployment,
-    sim_config: SimConfig,
-    tag_config: TagConfig,
-    readings: &[u64],
-    seed: u64,
-    plan: &FaultPlan,
-) -> TagRunOutcome {
     run_tag_with_channel(
         deployment,
         sim_config,
         tag_config,
         readings,
         seed,
-        plan,
+        &FaultPlan::none(),
         &ChannelPlan::none(),
     )
 }
 
-/// [`run_tag_with_faults`] under channel impairments as well: `channel`'s
-/// bursty loss, corruption, duplication and reordering are enforced by
-/// the simulator. TAG's tree is as fragile against a bursty channel as
-/// against churn — a burst across a relay's reporting slot silently
-/// drops its whole subtree — which is the iCPDA-vs-TAG contrast the
-/// reliability experiment (fig20) measures. An empty plan is a strict
-/// no-op.
+/// [`run_tag`] under node churn and channel impairments: `plan`'s
+/// crashes and outages and `channel`'s bursty loss, corruption,
+/// duplication and reordering are enforced by the simulator, and ground
+/// truth narrows to the sensors alive when the reporting epoch starts
+/// (the moment readings are captured). TAG has no recovery of its own —
+/// a dead relay, or a burst across a relay's reporting slot, silently
+/// costs its whole subtree — which is the iCPDA-vs-TAG contrast the
+/// churn (fig18) and reliability (fig20) experiments measure. Empty
+/// plans are a strict no-op.
 ///
 /// # Panics
 ///
@@ -594,21 +567,16 @@ mod tests {
             (out.value.to_bits(), out.total_bytes, out.participants)
         };
         assert_eq!(run(&ChannelPlan::none()), run(&ChannelPlan::none()));
-        let faults = run_tag_with_faults(
+        let plain = run_tag(
             dep.clone(),
             SimConfig::paper_default(),
             TagConfig::paper_default(AggFunction::Count),
             &readings,
             6,
-            &FaultPlan::none(),
         );
         assert_eq!(
             run(&ChannelPlan::none()),
-            (
-                faults.value.to_bits(),
-                faults.total_bytes,
-                faults.participants
-            )
+            (plain.value.to_bits(), plain.total_bytes, plain.participants)
         );
     }
 

@@ -13,7 +13,7 @@
 
 use crate::parallel::par_sweep;
 use crate::{f3, mean, paper_deployment, stddev, Table, TRIALS};
-use agg::tag::{run_tag_with_faults, TagConfig};
+use agg::tag::{run_tag_with_channel, TagConfig};
 use agg::AggFunction;
 use icpda::{IcpdaConfig, IcpdaRun};
 use wsn_sim::prelude::*;
@@ -84,13 +84,14 @@ pub fn run() -> std::io::Result<()> {
         let tag_plan = churn_plan(rate, tag_horizon, seed);
         let dep = paper_deployment(N, seed);
         let readings = agg::readings::count_readings(N);
-        let t = run_tag_with_faults(
+        let t = run_tag_with_channel(
             dep,
             SimConfig::paper_default(),
             tag_config,
             &readings,
             run_seed,
             &tag_plan,
+            &ChannelPlan::none(),
         );
         let tag_coverage = if t.eligible == 0 {
             0.0

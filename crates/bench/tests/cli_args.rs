@@ -72,5 +72,12 @@ fn unknown_arguments_are_rejected() {
     assert_rejected(env!("CARGO_BIN_EXE_fig21_scale"), &["--bogus"]);
     assert_rejected(env!("CARGO_BIN_EXE_fig21_scale"), &["--shards", "4"]);
     assert_rejected(env!("CARGO_BIN_EXE_bench"), &["--bogus"]);
+    assert_rejected(
+        env!("CARGO_BIN_EXE_bench"),
+        &["--baseline", "BENCH_baseline.json"],
+    );
+    assert_rejected(env!("CARGO_BIN_EXE_bench"), &["--warn-factor", "2"]);
+    assert_rejected(env!("CARGO_BIN_EXE_bench"), &["--obs-out", "x"]);
+    assert_rejected(env!("CARGO_BIN_EXE_bench"), &["--obs-level", "full"]);
     assert_rejected(env!("CARGO_BIN_EXE_render_topology"), &["extra"]);
 }

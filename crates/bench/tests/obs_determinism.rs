@@ -12,11 +12,12 @@
 use agg::AggFunction;
 use icpda::{IcpdaConfig, IcpdaRun};
 use icpda_bench::json::{self, Json};
-use icpda_bench::{paper_deployment, parallel, perf};
+use icpda_bench::{paper_deployment, parallel};
 use icpda_obs::export::Manifest;
 use icpda_obs::stream::ObsStream;
 use icpda_obs::ObsLevel;
 use std::path::Path;
+use wsn_sim::FaultPlan;
 
 fn manifest_threads(dir: &Path) -> f64 {
     let text = std::fs::read_to_string(dir.join("manifest.json")).expect("read manifest");
@@ -41,11 +42,11 @@ fn obs_export_is_byte_identical_across_thread_counts() {
     let one = base.join("t1");
     let eight = base.join("t8");
     parallel::set_threads(1);
-    perf::capture_obs(&one, ObsLevel::Full).expect("capture at 1 thread");
+    capture_churned(&one);
     parallel::set_threads(8);
-    perf::capture_obs(&eight, ObsLevel::Full).expect("capture at 8 threads");
+    capture_churned(&eight);
 
-    // The capture now goes through the streaming exporter, so the full
+    // The capture goes through the streaming exporter, so the full
     // event trace is part of the identity contract too.
     assert_same_files(
         &one,
@@ -58,6 +59,45 @@ fn obs_export_is_byte_identical_across_thread_counts() {
     assert_eq!(manifest_threads(&eight), 8.0);
 
     let _ = std::fs::remove_dir_all(&base);
+}
+
+/// One fully instrumented N=200 round with node churn and crash
+/// recovery on, so every protocol phase emits spans, streamed to `dir`
+/// with the full trace, the engine self-profile and the flight
+/// recorder. The manifest records the harness thread count.
+fn capture_churned(dir: &Path) {
+    let n = 200;
+    let seed = 7;
+    let churn = 0.15;
+    let mut config = IcpdaConfig::paper_default(AggFunction::Count);
+    config.crash_recovery = true;
+    let horizon = config.schedule.decision_time();
+    let plan = FaultPlan::random_churn(n, churn, horizon, seed).expect("churn plan");
+    let mut sc = wsn_sim::SimConfig::paper_default();
+    sc.obs_level = ObsLevel::Full;
+    sc.trace_level = wsn_sim::TraceLevel::Full;
+    sc.profile = true;
+    sc.flight_rounds = 4;
+    let manifest = Manifest {
+        tool: "obs_determinism test".to_string(),
+        seed,
+        threads: parallel::effective_threads(),
+        git_rev: "test".to_string(),
+        config: vec![],
+    };
+    let stream = ObsStream::create(dir).expect("create stream dir");
+    let out = IcpdaRun::new(
+        paper_deployment(n, seed),
+        config,
+        agg::readings::count_readings(n),
+        seed,
+    )
+    .with_sim_config(sc)
+    .with_fault_plan(plan)
+    .with_obs_stream(stream, manifest)
+    .run();
+    let error = out.stream.and_then(|s| s.error);
+    assert!(error.is_none(), "stream error: {error:?}");
 }
 
 /// One small instrumented run, streamed to `dir`, or buffered in memory

@@ -94,18 +94,6 @@ impl Behavior {
             Behavior::SelectiveForward => 4,
         }
     }
-
-    /// The protocol phase this behaviour subverts.
-    #[must_use]
-    pub fn phase(self) -> &'static str {
-        match self {
-            Behavior::Lawful => "none",
-            Behavior::GarbageShares => "share_exchange",
-            Behavior::PolluteAggregate(_) => "aggregation",
-            Behavior::ColludePrivacy => "share_exchange",
-            Behavior::SelectiveForward => "ascent",
-        }
-    }
 }
 
 /// A rejected adversary-plan edit.
@@ -635,7 +623,6 @@ mod tests {
         unique.dedup();
         assert_eq!(unique.len(), behaviors.len());
         assert_eq!(Behavior::Lawful.code(), 0);
-        assert_eq!(Behavior::Lawful.phase(), "none");
         assert_eq!(Fp::ZERO.to_u64(), 0, "field sanity");
     }
 }

@@ -108,12 +108,6 @@ impl MonitorCache {
         self.clusters.insert(head, agg);
     }
 
-    /// Number of cached upstream reports.
-    #[must_use]
-    pub fn upstream_len(&self) -> usize {
-        self.upstream.len()
-    }
-
     fn resolve(&self, r: &MergedRef) -> Option<&CachedAggregate> {
         match r {
             MergedRef::Relay { sender, msg_id } => self.upstream.get(&(*sender, *msg_id)),

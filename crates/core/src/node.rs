@@ -360,12 +360,6 @@ impl IcpdaNode {
         self.excluded = true;
     }
 
-    /// Whether this node is quarantined.
-    #[must_use]
-    pub fn is_excluded(&self) -> bool {
-        self.excluded
-    }
-
     /// The node's role after cluster formation.
     #[must_use]
     pub fn role(&self) -> Role {
@@ -396,21 +390,6 @@ impl IcpdaNode {
     #[must_use]
     pub fn cluster_aggregate(&self) -> Option<&CachedAggregate> {
         self.cluster_aggregate.as_ref()
-    }
-
-    /// Whether this node's reading is included in a solved cluster
-    /// aggregate (it will reach the base station unless lost upstream).
-    #[must_use]
-    pub fn reading_included(&self) -> bool {
-        match (&self.cluster_aggregate, &self.roster) {
-            (Some(_), Some(roster)) => {
-                // Included iff this node contributed shares and the solve
-                // succeeded; the solved mask is reflected in fsums — a
-                // node that shared is in every consistent mask.
-                self.shared && roster.len() >= self.config.min_cluster_size
-            }
-            _ => false,
-        }
     }
 
     /// The base station's decision for the most recent completed round

@@ -20,7 +20,7 @@
 //!   as [`Application::on_overhear`] otherwise.
 
 use crate::app::{Application, Command, Context, TimerId, TimerToken};
-use crate::arena::{ArenaStats, FrameArena};
+use crate::arena::FrameArena;
 use crate::calendar::CalendarQueue;
 use crate::channel::{corrupted_checksum, frame_checksum, ChannelPlan};
 use crate::fault::FaultPlan;
@@ -496,12 +496,6 @@ impl<A: Application> Simulator<A> {
     pub fn begin_frame_epoch(&mut self) {
         self.arena.begin_epoch();
         self.trace.mark_round();
-    }
-
-    /// Allocation counters of the delivery-buffer arena.
-    #[must_use]
-    pub fn arena_stats(&self) -> ArenaStats {
-        self.arena.stats()
     }
 
     /// Immutable access to a node's application state.

@@ -392,12 +392,6 @@ impl Trace {
         self.stream = Some(sink);
     }
 
-    /// Whether a streaming sink is attached.
-    #[must_use]
-    pub fn has_stream(&self) -> bool {
-        self.stream.is_some()
-    }
-
     /// Attaches a flight recorder retaining the last `keep` rounds.
     pub fn set_flight(&mut self, keep: usize) {
         self.flight = Some(FlightRecorder::new(keep));
