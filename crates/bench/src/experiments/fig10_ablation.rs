@@ -11,27 +11,26 @@ use super::icpda_round;
 use crate::parallel::par_sweep;
 use crate::{f1, f3, mean, paper_deployment, Table, N_SWEEP};
 use agg::AggFunction;
-use icpda::{IcpdaConfig, IcpdaRun, IntegrityMode, Pollution};
+use icpda::{AdversaryPlan, Behavior, IcpdaConfig, IcpdaRun, IntegrityMode, Pollution};
 
 const SEEDS: u64 = 5;
 
 /// Whether a totals-inflating head is caught in one seeded trial.
 fn detected(n: usize, seed: u64, config: IcpdaConfig) -> bool {
     let honest = icpda_round(n, seed, config);
-    let Some(head) = honest
-        .rosters
-        .iter()
-        .find_map(|(node, r)| (r.head() == *node).then_some(*node))
-    else {
+    let Some(head) = honest.sharing_heads().next() else {
         return false;
     };
+    let mut plan = AdversaryPlan::none();
+    plan.assign(head, Behavior::PolluteAggregate(Pollution::inflate(1_000)))
+        .expect("heads are never the base station");
     let out = IcpdaRun::new(
         paper_deployment(n, seed),
         config,
         agg::readings::count_readings(n),
         seed.wrapping_mul(31).wrapping_add(7),
     )
-    .with_attackers([(head, Pollution::inflate(1_000))])
+    .with_adversary_plan(plan)
     .run();
     !out.accepted
 }

@@ -14,7 +14,7 @@
 use crate::parallel::par_trials;
 use crate::{f1, f3, paper_deployment, Table, TRIALS};
 use agg::AggFunction;
-use icpda::{IcpdaConfig, IcpdaRun, Pollution, PrivacyMode};
+use icpda::{AdversaryPlan, Behavior, IcpdaConfig, IcpdaRun, Pollution, PrivacyMode};
 
 const N: usize = 400;
 
@@ -25,12 +25,12 @@ fn detection_rate(label: &str, config: IcpdaConfig, pollution: Pollution) -> f64
         let dep = paper_deployment(N, seed);
         let readings = agg::readings::count_readings(N);
         let honest = IcpdaRun::new(dep.clone(), config, readings.clone(), seed + 1).run();
-        let head = honest
-            .rosters
-            .iter()
-            .find_map(|(n, r)| (r.head() == *n).then_some(*n))?;
+        let head = honest.sharing_heads().next()?;
+        let mut plan = AdversaryPlan::none();
+        plan.assign(head, Behavior::PolluteAggregate(pollution))
+            .expect("heads are never the base station");
         let out = IcpdaRun::new(dep, config, readings, seed + 1)
-            .with_attackers([(head, pollution)])
+            .with_adversary_plan(plan)
             .run();
         Some(!out.accepted)
     });

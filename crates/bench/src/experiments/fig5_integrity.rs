@@ -18,27 +18,31 @@ use super::icpda_round;
 use crate::parallel::par_map;
 use crate::{f3, paper_deployment, Table, TRIALS};
 use agg::AggFunction;
-use icpda::{IcpdaConfig, IcpdaRun, Pollution};
+use icpda::{AdversaryPlan, Behavior, IcpdaConfig, IcpdaRun, Pollution};
 use wsn_sim::NodeId;
 
 const N: usize = 400;
 
 /// Picks `k` heads that actually formed clusters in the honest run.
 fn pick_heads(n: usize, seed: u64, k: usize) -> Vec<NodeId> {
-    let honest = icpda_round(n, seed, IcpdaConfig::paper_default(AggFunction::Count));
-    honest
-        .rosters
-        .iter()
-        .filter_map(|(node, roster)| (roster.head() == *node).then_some(*node))
+    icpda_round(n, seed, IcpdaConfig::paper_default(AggFunction::Count))
+        .sharing_heads()
         .take(k)
         .collect()
 }
 
-fn attacked_run(seed: u64, attackers: &[(NodeId, Pollution)], config: IcpdaConfig) -> bool {
+/// Whether the base station rejects the round in which every one of
+/// `heads` reports with `pollution` applied.
+fn attacked_run(seed: u64, heads: &[NodeId], pollution: Pollution, config: IcpdaConfig) -> bool {
+    let mut plan = AdversaryPlan::none();
+    for &head in heads {
+        plan.assign(head, Behavior::PolluteAggregate(pollution))
+            .expect("heads are never the base station");
+    }
     let dep = paper_deployment(N, seed);
     let readings = agg::readings::count_readings(N);
     let out = IcpdaRun::new(dep, config, readings, seed.wrapping_mul(31).wrapping_add(7))
-        .with_attackers(attackers.iter().copied())
+        .with_adversary_plan(plan)
         .run();
     !out.accepted
 }
@@ -78,9 +82,7 @@ pub fn run() -> std::io::Result<()> {
         .collect();
     let detected = par_map("fig5a_detection", jobs, |&(ki, mi, seed)| {
         let heads = pick_heads(N, seed, ks[ki]);
-        let attackers: Vec<(NodeId, Pollution)> =
-            heads.iter().map(|&h| (h, pollutions[mi])).collect();
-        attacked_run(seed, &attackers, config)
+        attacked_run(seed, &heads, pollutions[mi], config)
     });
     for (ki, k) in ks.iter().enumerate() {
         let mut rates = [0.0f64; 3];
@@ -121,11 +123,7 @@ pub fn run() -> std::io::Result<()> {
         let mut cfg = config;
         cfg.threshold = th;
         let heads = pick_heads(N, seed, 1);
-        let attackers: Vec<(NodeId, Pollution)> = heads
-            .iter()
-            .map(|&h| (h, Pollution::inflate(delta)))
-            .collect();
-        attacked_run(seed, &attackers, cfg)
+        attacked_run(seed, &heads, Pollution::inflate(delta), cfg)
     });
     for (di, delta) in deltas.iter().enumerate() {
         let mut cells = vec![delta.to_string()];

@@ -32,14 +32,12 @@ pub fn render_deployment(dep: &Deployment) -> String {
 /// orphans hollow.
 #[must_use]
 pub fn render_outcome(dep: &Deployment, outcome: &IcpdaOutcome) -> String {
-    let mut cluster_of: BTreeMap<NodeId, NodeId> = BTreeMap::new();
-    let mut heads: Vec<NodeId> = Vec::new();
-    for (node, roster) in &outcome.rosters {
-        cluster_of.insert(*node, roster.head());
-        if roster.head() == *node {
-            heads.push(*node);
-        }
-    }
+    let cluster_of: BTreeMap<NodeId, NodeId> = outcome
+        .rosters
+        .iter()
+        .map(|(node, roster)| (*node, roster.head()))
+        .collect();
+    let heads: Vec<NodeId> = outcome.sharing_heads().collect();
     render(dep, &cluster_of, &heads)
 }
 
@@ -180,7 +178,7 @@ mod tests {
         .run();
         let svg = render_outcome(&dep, &out);
         // Heads get the black ring.
-        let heads = out.rosters.iter().filter(|(n, r)| r.head() == *n).count();
+        let heads = out.sharing_heads().count();
         assert!(heads > 0);
         assert_eq!(svg.matches(r##"stroke="#000""##).count(), heads);
         // Members are coloured by hsl cluster colours.

@@ -613,6 +613,14 @@ pub fn attack(args: &Args) -> Result<(), ParseArgsError> {
             )))
         }
     };
+    let polluters = |heads: &[NodeId]| {
+        let mut plan = AdversaryPlan::none();
+        for &head in heads {
+            plan.assign(head, Behavior::PolluteAggregate(pollution))
+                .expect("heads are never the base station");
+        }
+        plan
+    };
     if seeds > 1 {
         if with_session {
             return Err(ParseArgsError(
@@ -625,17 +633,12 @@ pub fn attack(args: &Args) -> Result<(), ParseArgsError> {
             let readings = readings_for(config.function, n, seed);
             let dep = deployment(n, seed);
             let honest = IcpdaRun::new(dep.clone(), config, readings.clone(), seed).run();
-            let attackers: Vec<(NodeId, Pollution)> = honest
-                .rosters
-                .iter()
-                .filter_map(|(node, r)| (r.head() == *node).then_some((*node, pollution)))
-                .take(count)
-                .collect();
-            if attackers.is_empty() {
+            let heads: Vec<NodeId> = honest.sharing_heads().take(count).collect();
+            if heads.is_empty() {
                 return None;
             }
             let out = IcpdaRun::new(dep, config, readings, seed)
-                .with_attackers(attackers)
+                .with_adversary_plan(polluters(&heads))
                 .run();
             Some(!out.accepted)
         });
@@ -653,12 +656,7 @@ pub fn attack(args: &Args) -> Result<(), ParseArgsError> {
     let readings = readings_for(config.function, n, seed);
     let dep = deployment(n, seed);
     let honest = IcpdaRun::new(dep.clone(), config, readings.clone(), seed).run();
-    let heads: Vec<NodeId> = honest
-        .rosters
-        .iter()
-        .filter_map(|(node, r)| (r.head() == *node).then_some(*node))
-        .take(count)
-        .collect();
+    let heads: Vec<NodeId> = honest.sharing_heads().take(count).collect();
     if heads.is_empty() {
         return Err(ParseArgsError("no cluster heads formed to attack".into()));
     }
@@ -666,9 +664,9 @@ pub fn attack(args: &Args) -> Result<(), ParseArgsError> {
         "honest value {:.1}; compromising heads {heads:?}",
         honest.value
     );
-    let attackers: Vec<(NodeId, Pollution)> = heads.iter().map(|&h| (h, pollution)).collect();
+    let plan = polluters(&heads);
     if with_session {
-        let session = run_session(&dep, config, &readings, seed, &attackers, 6);
+        let session = run_session(&dep, config, &readings, seed, &plan, 6);
         for (i, round) in session.rounds.iter().enumerate() {
             println!(
                 "round {i}: value {:>10.1}  accepted {:<5}  alarms {}",
@@ -688,7 +686,7 @@ pub fn attack(args: &Args) -> Result<(), ParseArgsError> {
         }
     } else {
         let out = IcpdaRun::new(dep, config, readings, seed)
-            .with_attackers(attackers)
+            .with_adversary_plan(plan)
             .run();
         println!(
             "attacked: value {:.1}  accepted {}  alarms {:?}",

@@ -3,9 +3,10 @@
 //! [`AdversaryPlan`] is the malicious counterpart of
 //! [`wsn_sim::fault::FaultPlan`]: a deterministic, ahead-of-time
 //! assignment of a [`Behavior`] to individual nodes, installed by
-//! [`crate::runner::IcpdaRun::with_adversary_plan`] and enforced by
-//! behaviour hooks inside the [`crate::node::IcpdaNode`] state machine.
-//! Each behaviour subverts one protocol phase:
+//! [`crate::runner::IcpdaRun::with_adversary_plan`] (the only way an
+//! attack enters a run) and enforced by behaviour hooks inside the
+//! [`crate::node::IcpdaNode`] state machine. Each behaviour subverts one
+//! protocol phase:
 //!
 //! * [`Behavior::GarbageShares`] — share exchange: the node distributes
 //!   uniformly random field elements instead of its blinded polynomial
@@ -19,6 +20,10 @@
 //!   round (see [`evaluate_collusion`]).
 //! * [`Behavior::SelectiveForward`] — ascent: the node absorbs nothing
 //!   and forwards nothing for its children, black-holing the subtree.
+//! * [`Behavior::Slander`] — accusation: the node raises a false
+//!   pollution alarm against a named innocent node every round, the
+//!   denial-of-service that accuser-credibility tracking in
+//!   [`crate::session::run_session`] defeats.
 //!
 //! An **empty** plan is a strict no-op: no hook fires, no extra RNG draw
 //! happens, and runs are byte-identical to a build that has never heard
@@ -78,6 +83,9 @@ pub enum Behavior {
     ColludePrivacy,
     /// Drops every child report instead of absorbing and forwarding it.
     SelectiveForward,
+    /// Runs honestly but raises a false pollution alarm against the
+    /// named node every round.
+    Slander(NodeId),
 }
 
 impl Behavior {
@@ -92,6 +100,7 @@ impl Behavior {
             Behavior::PolluteAggregate(_) => 2,
             Behavior::ColludePrivacy => 3,
             Behavior::SelectiveForward => 4,
+            Behavior::Slander(_) => 5,
         }
     }
 }
@@ -616,6 +625,7 @@ mod tests {
             Behavior::PolluteAggregate(Pollution::inflate(1)),
             Behavior::ColludePrivacy,
             Behavior::SelectiveForward,
+            Behavior::Slander(n(1)),
         ];
         let codes: Vec<u8> = behaviors.iter().map(|b| b.code()).collect();
         let mut unique = codes.clone();

@@ -4,9 +4,9 @@
 //! offline by [`crate::privacy`] with [`wsn_crypto::LinkAdversary`]) and
 //! *data pollution* — a compromised aggregation node (cluster head or
 //! relay) altering the partial aggregate it forwards. [`Pollution`]
-//! configures the latter; it is installed on individual nodes via
-//! [`crate::runner::IcpdaRun::with_attackers`] or
-//! [`crate::node::IcpdaNode::set_pollution`].
+//! configures the latter; it is installed on individual nodes as
+//! [`crate::adversary::Behavior::PolluteAggregate`] in an
+//! [`crate::adversary::AdversaryPlan`].
 //!
 //! Three pollution strategies are modelled, of increasing subtlety
 //! against the audit-trail defence:
@@ -42,7 +42,7 @@ pub enum PollutionMode {
 /// the node's own upstream transmission after honest aggregation — i.e.
 /// the attacker *replaces* the correct partial result with a polluted
 /// one, exactly the attack the integrity layer must detect.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub struct Pollution {
     /// Attack embedding strategy.
     pub mode: PollutionMode,
@@ -51,16 +51,6 @@ pub struct Pollution {
     pub component_delta: Fp,
     /// Signed change to the claimed participant count (saturating at 0).
     pub participants_delta: i32,
-}
-
-impl Default for Pollution {
-    fn default() -> Self {
-        Pollution {
-            mode: PollutionMode::AlterTotals,
-            component_delta: Fp::ZERO,
-            participants_delta: 0,
-        }
-    }
 }
 
 impl Pollution {
@@ -102,12 +92,6 @@ impl Pollution {
             component_delta: Fp::new(delta),
             participants_delta: participants,
         }
-    }
-
-    /// Whether this pollution actually changes anything.
-    #[must_use]
-    pub fn is_noop(&self) -> bool {
-        self.component_delta.is_zero() && self.participants_delta == 0
     }
 
     /// Applies the pollution to an outgoing report.
@@ -294,12 +278,5 @@ mod tests {
         assert_eq!(inputs.len(), 2);
         assert_eq!(inputs[1].participants, 0);
         assert_eq!(totals[0], Fp::new(550));
-    }
-
-    #[test]
-    fn noop_detection() {
-        assert!(Pollution::default().is_noop());
-        assert!(!Pollution::inflate(1).is_noop());
-        assert!(!Pollution::phantom(0, 1).is_noop());
     }
 }

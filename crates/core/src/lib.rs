@@ -64,4 +64,4 @@ pub use node::{BsDecision, IcpdaNode, Role};
 pub use privacy::{evaluate_disclosure, evaluate_disclosure_with_keys, DisclosureReport};
 pub use reliability::{ReliabilityConfig, RetryState};
 pub use runner::{IcpdaOutcome, IcpdaRun, StreamOutcome};
-pub use session::{run_session, run_session_with_slander, SessionOutcome};
+pub use session::{run_session, SessionOutcome};

@@ -16,7 +16,6 @@
 //!    round if any alarm arrives.
 
 use crate::adversary::{Behavior, CollusionView};
-use crate::attack::Pollution;
 use crate::cluster::Roster;
 use crate::config::{IcpdaConfig, IntegrityMode, PrivacyMode};
 use crate::monitor::{CachedAggregate, CheckOutcome, MonitorCache, ViolationKind};
@@ -178,7 +177,6 @@ pub struct IcpdaNode {
     // of deep-cloning the totals/inputs vectors and re-walking wire_size.
     pending_upstream: Option<SharedPayload<IcpdaMsg>>,
     upstream_sent: bool,
-    late_upstream: u32,
 
     // Reliability: per-message retry budgets (see `crate::reliability`).
     roster_retry: RetryState,
@@ -205,9 +203,6 @@ pub struct IcpdaNode {
     // Quarantine.
     excluded: bool,
 
-    // Attack.
-    pollution: Option<Pollution>,
-    slander: Option<NodeId>,
     /// Byzantine behaviour (see [`crate::adversary`]); `Lawful` keeps
     /// every hook dormant, so uncompromised nodes run byte-identically
     /// to a build without the adversary layer.
@@ -275,7 +270,6 @@ impl IcpdaNode {
             seen_upstream: BTreeSet::new(),
             pending_upstream: None,
             upstream_sent: false,
-            late_upstream: 0,
             roster_retry: RetryState::new(),
             upstream_retry: RetryState::new(),
             announce_retry: RetryState::new(),
@@ -289,8 +283,6 @@ impl IcpdaNode {
             current_round: 0,
             pending_flood: None,
             excluded: false,
-            pollution: None,
-            slander: None,
             behavior: Behavior::Lawful,
             neighbor_levels: BTreeMap::new(),
             head_alive_seen: false,
@@ -304,21 +296,10 @@ impl IcpdaNode {
         }
     }
 
-    /// Installs a data-pollution attack on this node.
-    pub fn set_pollution(&mut self, pollution: Pollution) {
-        self.pollution = Some(pollution);
-    }
-
     /// Installs a Byzantine behaviour (see [`crate::adversary`]).
     /// [`Behavior::Lawful`] restores honest execution.
     pub fn set_behavior(&mut self, behavior: Behavior) {
         self.behavior = behavior;
-    }
-
-    /// The node's installed Byzantine behaviour.
-    #[must_use]
-    pub fn behavior(&self) -> Behavior {
-        self.behavior
     }
 
     /// Snapshots the round state the collusion evaluation pools: the
@@ -343,14 +324,6 @@ impl IcpdaNode {
     /// exchange.
     pub fn set_reading(&mut self, reading: u64) {
         self.reading = reading;
-    }
-
-    /// Installs a slander attack: this node raises a false pollution
-    /// alarm against `target` every round — the denial-of-service the
-    /// paper's discussion anticipates, defeated by accuser credibility
-    /// tracking in [`crate::session::run_session`].
-    pub fn set_slander(&mut self, target: NodeId) {
-        self.slander = Some(target);
     }
 
     /// Quarantines this node: it takes no part in the round (the base
@@ -409,13 +382,6 @@ impl IcpdaNode {
     #[must_use]
     pub fn current_round(&self) -> u16 {
         self.current_round
-    }
-
-    /// Upstream messages that arrived after this node had already
-    /// transmitted its own (their data is lost for this round).
-    #[must_use]
-    pub fn late_upstream(&self) -> u32 {
-        self.late_upstream
     }
 
     /// Virtual time of the last upstream absorption at the base station.
@@ -1666,8 +1632,11 @@ impl IcpdaNode {
             self.merge_recovery_inputs(ctx, &mut totals, &mut participants, &mut inputs);
         }
         self.upstream_sent = true;
-        if let (Some(target), Some(parent)) = (self.slander, self.flood_parent) {
+        if let (Behavior::Slander(target), Some(parent)) = (self.behavior, self.flood_parent) {
+            // Byzantine hook (accusation): a false alarm every round, sent
+            // whether or not the node has a report of its own.
             ctx.metrics().bump("icpda_slander_sent");
+            ctx.trace_adversary(self.behavior.code());
             ctx.send(
                 parent,
                 IcpdaMsg::Alarm {
@@ -1683,11 +1652,9 @@ impl IcpdaNode {
         if self.config.integrity == IntegrityMode::Off {
             inputs.clear();
         }
-        if let Some(pollution) = self.pollution {
-            pollution.apply(&mut totals, &mut participants, &mut inputs);
-        } else if let Behavior::PolluteAggregate(pollution) = self.behavior {
-            // Byzantine hook (aggregation): same embedding machinery as
-            // the legacy per-node attack, driven by the plan instead.
+        if let Behavior::PolluteAggregate(pollution) = self.behavior {
+            // Byzantine hook (aggregation): applied after every honest
+            // step, so the polluted report is exactly what goes on air.
             pollution.apply(&mut totals, &mut participants, &mut inputs);
             ctx.metrics().bump("icpda_adv_polluted");
             ctx.trace_adversary(self.behavior.code());
@@ -2006,7 +1973,6 @@ impl IcpdaNode {
             return;
         }
         if self.upstream_sent {
-            self.late_upstream += 1;
             ctx.metrics().bump("icpda_upstream_late");
             if self.config.crash_recovery {
                 self.late_forward(ctx, from, msg_id, totals_raw, participants);

@@ -2,7 +2,6 @@
 //! every quantity the evaluation figures need.
 
 use crate::adversary::{evaluate_collusion, AdversaryPlan, CollusionReport, CollusionView};
-use crate::attack::Pollution;
 use crate::cluster::Roster;
 use crate::config::IcpdaConfig;
 use crate::node::{BsDecision, IcpdaNode, Role};
@@ -47,9 +46,7 @@ pub struct IcpdaRun {
     config: IcpdaConfig,
     readings: Vec<u64>,
     seed: u64,
-    attackers: Vec<(NodeId, Pollution)>,
     excluded: Vec<NodeId>,
-    slanderers: Vec<(NodeId, NodeId)>,
     reading_schedule: Vec<Vec<u64>>,
     fault_plan: FaultPlan,
     channel_plan: ChannelPlan,
@@ -78,9 +75,7 @@ impl IcpdaRun {
             config,
             readings,
             seed,
-            attackers: Vec::new(),
             excluded: Vec::new(),
-            slanderers: Vec::new(),
             reading_schedule: Vec::new(),
             fault_plan: FaultPlan::none(),
             channel_plan: ChannelPlan::none(),
@@ -120,11 +115,12 @@ impl IcpdaRun {
     }
 
     /// Installs a Byzantine adversary plan (per-node behaviours, see
-    /// [`crate::adversary`]). An empty plan is a strict no-op: the run
-    /// is byte-identical to one configured without it. When the plan
-    /// contains [`crate::adversary::Behavior::ColludePrivacy`] nodes,
-    /// the outcome carries a [`CollusionReport`] evaluating the
-    /// published m−1 reconstruction attack against every honest member.
+    /// [`crate::adversary`]), the only way an attack enters a run. An
+    /// empty plan is a strict no-op: the run is byte-identical to one
+    /// configured without it. When the plan contains
+    /// [`crate::adversary::Behavior::ColludePrivacy`] nodes, the outcome
+    /// carries a [`CollusionReport`] evaluating the published m−1
+    /// reconstruction attack against every honest member.
     #[must_use]
     pub fn with_adversary_plan(mut self, plan: AdversaryPlan) -> Self {
         self.adversary_plan = plan;
@@ -158,33 +154,12 @@ impl IcpdaRun {
         self
     }
 
-    /// Installs data-pollution attackers.
-    #[must_use]
-    pub fn with_attackers(
-        mut self,
-        attackers: impl IntoIterator<Item = (NodeId, Pollution)>,
-    ) -> Self {
-        self.attackers.extend(attackers);
-        self
-    }
-
     /// Quarantines nodes for this round (the base station's recovery
     /// mechanism: accused polluters sit out subsequent rounds). Their
     /// readings are lost — quarantine trades accuracy for trust.
     #[must_use]
     pub fn with_excluded(mut self, excluded: impl IntoIterator<Item = NodeId>) -> Self {
         self.excluded.extend(excluded);
-        self
-    }
-
-    /// Installs slander attackers: each `(slanderer, victim)` pair makes
-    /// the slanderer raise a false alarm against the victim every round.
-    #[must_use]
-    pub fn with_slanderers(
-        mut self,
-        slanderers: impl IntoIterator<Item = (NodeId, NodeId)>,
-    ) -> Self {
-        self.slanderers.extend(slanderers);
         self
     }
 
@@ -268,14 +243,8 @@ impl IcpdaRun {
         for (name, events, wall_ns) in &self.profile_sections {
             sim.record_profile_section(name, *events, *wall_ns);
         }
-        for (node, pollution) in &self.attackers {
-            sim.app_mut(*node).set_pollution(*pollution);
-        }
         for (node, behavior) in self.adversary_plan.compromised() {
             sim.app_mut(node).set_behavior(behavior);
-        }
-        for (slanderer, victim) in &self.slanderers {
-            sim.app_mut(*slanderer).set_slander(*victim);
         }
         for node in &self.excluded {
             if *node != NodeId::new(0) {
@@ -631,6 +600,15 @@ impl IcpdaOutcome {
         } else {
             self.included as f64 / n as f64
         }
+    }
+
+    /// The cluster heads among [`IcpdaOutcome::rosters`] (heads that
+    /// formed a cluster and shared), in node order — the usual targets of
+    /// a compromised-head attack.
+    pub fn sharing_heads(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.rosters
+            .iter()
+            .filter_map(|(node, roster)| (roster.head() == *node).then_some(*node))
     }
 
     /// Mean cluster size.

@@ -11,10 +11,12 @@
 //! Quarantine costs the excluded nodes' readings (and any coverage they
 //! provided as relays); a *false* accusation would therefore cost
 //! accuracy — which is why monitors only accuse on provable
-//! inconsistency (no false alarms on honest rounds, see the integrity
-//! experiments).
+//! inconsistency. With crash recovery off, honest rounds raise no false
+//! alarm (see the integrity experiments). With it on, a head takeover
+//! triggered by one lost assembly can make an honest round fail: 5–6 of
+//! 30 clean paper-field rounds were rejected (ROADMAP, open item 1).
 
-use crate::attack::Pollution;
+use crate::adversary::AdversaryPlan;
 use crate::config::IcpdaConfig;
 use crate::runner::{IcpdaOutcome, IcpdaRun};
 use std::collections::{BTreeMap, BTreeSet};
@@ -65,8 +67,9 @@ impl SessionOutcome {
 ///    and every node it accused is re-admitted (unless someone else
 ///    also accused it).
 ///
-/// Attackers that end up quarantined stay in the attacker list but are
-/// passive (an excluded node transmits nothing).
+/// Every round runs the same `adversary` plan; attackers that end up
+/// quarantined stay in it but are passive (an excluded node transmits
+/// nothing).
 ///
 /// # Panics
 ///
@@ -79,34 +82,7 @@ pub fn run_session(
     config: IcpdaConfig,
     readings: &[u64],
     seed: u64,
-    attackers: &[(NodeId, Pollution)],
-    max_rounds: usize,
-) -> SessionOutcome {
-    run_session_with_slander(
-        deployment,
-        config,
-        readings,
-        seed,
-        attackers,
-        &[],
-        max_rounds,
-    )
-}
-
-/// [`run_session`] with additional slander attackers (see
-/// [`crate::runner::IcpdaRun::with_slanderers`]).
-///
-/// # Panics
-///
-/// As [`run_session`].
-#[must_use]
-pub fn run_session_with_slander(
-    deployment: &Deployment,
-    config: IcpdaConfig,
-    readings: &[u64],
-    seed: u64,
-    attackers: &[(NodeId, Pollution)],
-    slanderers: &[(NodeId, NodeId)],
+    adversary: &AdversaryPlan,
     max_rounds: usize,
 ) -> SessionOutcome {
     assert!(max_rounds > 0, "a session needs at least one round");
@@ -126,8 +102,7 @@ pub fn run_session_with_slander(
         // derive fresh seeds.
         let round_seed = seed ^ (round as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let outcome = IcpdaRun::new(deployment.clone(), config, readings.to_vec(), round_seed)
-            .with_attackers(attackers.iter().copied())
-            .with_slanderers(slanderers.iter().copied())
+            .with_adversary_plan(adversary.clone())
             .with_excluded(excluded.iter().copied())
             .run();
         let accepted = outcome.accepted;
@@ -178,6 +153,8 @@ pub fn run_session_with_slander(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adversary::Behavior;
+    use crate::attack::Pollution;
     use agg::AggFunction;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
@@ -193,7 +170,7 @@ mod tests {
         let dep = network(150);
         let readings = agg::readings::count_readings(150);
         let config = IcpdaConfig::paper_default(AggFunction::Count);
-        let session = run_session(&dep, config, &readings, 5, &[], 4);
+        let session = run_session(&dep, config, &readings, 5, &AdversaryPlan::none(), 4);
         assert_eq!(session.accepted_round, Some(0));
         assert_eq!(session.len(), 1);
         assert!(session.excluded.is_empty());
@@ -206,13 +183,11 @@ mod tests {
         let config = IcpdaConfig::paper_default(AggFunction::Count);
         // Find a head to compromise.
         let honest = IcpdaRun::new(dep.clone(), config, readings.clone(), 5).run();
-        let head = honest
-            .rosters
-            .iter()
-            .find_map(|(node, r)| (r.head() == *node).then_some(*node))
-            .expect("heads exist");
-        let attackers = [(head, Pollution::inflate(9_999))];
-        let session = run_session(&dep, config, &readings, 5, &attackers, 5);
+        let head = honest.sharing_heads().next().expect("heads exist");
+        let mut plan = AdversaryPlan::none();
+        plan.assign(head, Behavior::PolluteAggregate(Pollution::inflate(9_999)))
+            .unwrap();
+        let session = run_session(&dep, config, &readings, 5, &plan, 5);
         let accepted = session.accepted().expect("session must converge");
         assert!(session.accepted_round.unwrap() >= 1, "first round rejected");
         assert!(
@@ -235,13 +210,14 @@ mod tests {
         let readings = agg::readings::count_readings(150);
         let config = IcpdaConfig::paper_default(AggFunction::Count);
         let honest = IcpdaRun::new(dep.clone(), config, readings.clone(), 5).run();
-        let head = honest
-            .rosters
-            .iter()
-            .find_map(|(node, r)| (r.head() == *node).then_some(*node))
-            .expect("heads exist");
-        let attackers = [(head, Pollution::phantom(5_000, 5))];
-        let session = run_session(&dep, config, &readings, 5, &attackers, 3);
+        let head = honest.sharing_heads().next().expect("heads exist");
+        let mut plan = AdversaryPlan::none();
+        plan.assign(
+            head,
+            Behavior::PolluteAggregate(Pollution::phantom(5_000, 5)),
+        )
+        .unwrap();
+        let session = run_session(&dep, config, &readings, 5, &plan, 3);
         assert_eq!(session.accepted_round, Some(0));
     }
 
@@ -252,25 +228,15 @@ mod tests {
         let config = IcpdaConfig::paper_default(AggFunction::Count);
         // An ordinary member slanders an innocent head every round.
         let probe = IcpdaRun::new(dep.clone(), config, readings.clone(), 5).run();
-        let victim = probe
-            .rosters
-            .iter()
-            .find_map(|(n, r)| (r.head() == *n).then_some(*n))
-            .expect("heads exist");
+        let victim = probe.sharing_heads().next().expect("heads exist");
         let slanderer = probe
             .rosters
             .iter()
             .find_map(|(n, r)| (r.head() != *n && *n != victim).then_some(*n))
             .expect("members exist");
-        let session = super::run_session_with_slander(
-            &dep,
-            config,
-            &readings,
-            5,
-            &[],
-            &[(slanderer, victim)],
-            6,
-        );
+        let mut plan = AdversaryPlan::none();
+        plan.assign(slanderer, Behavior::Slander(victim)).unwrap();
+        let session = run_session(&dep, config, &readings, 5, &plan, 6);
         let accepted = session.accepted().expect("session converges");
         assert!(
             session.excluded.contains(&slanderer),
@@ -296,7 +262,7 @@ mod tests {
             IcpdaConfig::paper_default(AggFunction::Count),
             &readings,
             1,
-            &[],
+            &AdversaryPlan::none(),
             0,
         );
     }

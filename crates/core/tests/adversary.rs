@@ -11,6 +11,8 @@
 //!   stated tolerance.
 //! * Active behaviours (garbage shares, selective forwarding) visibly
 //!   damage the round — never silently.
+//! * Every hook that fires leaves an `AdversaryAction` note carrying its
+//!   behaviour code in the trace (pollution and slander checked here).
 
 use agg::AggFunction;
 use icpda::adversary::{AdversaryPlan, Behavior};
@@ -21,6 +23,7 @@ use std::fmt::Write as _;
 use wsn_sim::geometry::Region;
 use wsn_sim::prelude::*;
 use wsn_sim::topology::Deployment;
+use wsn_sim::TraceKind;
 
 const N: usize = 120;
 
@@ -64,10 +67,12 @@ fn empty_plan_run_is_identical_to_a_plain_run() {
     assert!(with_empty.collusion.is_none(), "no colluders, no report");
 }
 
-/// Renders the complete trace and traffic totals of one simulator-level
-/// round (the golden-trace idiom, inline).
-fn render(install_lawful: bool) -> String {
-    let seed = 7u64;
+/// Runs one traced simulator-level round (the golden-trace idiom,
+/// inline) after `install` has set up the nodes.
+fn traced_round(
+    seed: u64,
+    install: impl FnOnce(&mut Simulator<IcpdaNode>),
+) -> Simulator<IcpdaNode> {
     let dep = deployment(seed);
     let config = IcpdaConfig::paper_default(AggFunction::Count);
     let readings = agg::readings::count_readings(N);
@@ -76,14 +81,23 @@ fn render(install_lawful: bool) -> String {
     let mut sim = Simulator::new(dep, sim_config, seed, |id| {
         IcpdaNode::new(config, id == NodeId::new(0), readings[id.index()])
     });
-    if install_lawful {
-        for i in 1..N {
-            sim.app_mut(NodeId::new(i as u32))
-                .set_behavior(Behavior::Lawful);
-        }
-    }
+    install(&mut sim);
     let deadline = SimTime::ZERO + config.schedule.decision_time() + SimDuration::from_secs(1);
     sim.run_until(deadline);
+    sim
+}
+
+/// Renders the complete trace and traffic totals of one simulator-level
+/// round.
+fn render(install_lawful: bool) -> String {
+    let sim = traced_round(7, |sim| {
+        if install_lawful {
+            for i in 1..N {
+                sim.app_mut(NodeId::new(i as u32))
+                    .set_behavior(Behavior::Lawful);
+            }
+        }
+    });
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -107,6 +121,43 @@ fn render(install_lawful: bool) -> String {
 #[test]
 fn lawful_behaviors_leave_the_trace_byte_identical() {
     assert_eq!(render(false), render(true));
+}
+
+#[test]
+fn pollution_and_slander_leave_adversary_notes_in_the_trace() {
+    // A polluting head, and a member slandering another (honest) head.
+    let honest = run_with_plan(
+        7,
+        IcpdaConfig::paper_default(AggFunction::Count),
+        AdversaryPlan::none(),
+    );
+    let heads: Vec<NodeId> = honest.sharing_heads().take(2).collect();
+    let (polluter, victim) = (heads[0], heads[1]);
+    let (slanderer, _) = honest
+        .rosters
+        .iter()
+        .find(|(n, r)| r.head() != *n)
+        .expect("a member");
+    let mut plan = AdversaryPlan::none();
+    plan.assign(
+        polluter,
+        Behavior::PolluteAggregate(Pollution::inflate(1_000)),
+    )
+    .unwrap();
+    plan.assign(*slanderer, Behavior::Slander(victim)).unwrap();
+    let sim = traced_round(7, |sim| {
+        for (node, behavior) in plan.compromised() {
+            sim.app_mut(node).set_behavior(behavior);
+        }
+    });
+    let trace: Vec<TraceKind> = sim.trace().iter().map(|entry| entry.kind).collect();
+    for (node, code) in [(*slanderer, 5), (polluter, 2)] {
+        let note = TraceKind::AdversaryAction { node, code };
+        assert!(trace.contains(&note), "missing {note:?}");
+    }
+    let alarms = &sim.app(NodeId::new(0)).decision().expect("decided").alarms;
+    assert!(alarms.contains(&(*slanderer, victim)), "{alarms:?}");
+    assert!(sim.metrics().user_counter("icpda_slander_sent") >= 1);
 }
 
 /// Rosters of size ≥ 3 formed in the honest run, as (victim, members).
@@ -188,11 +239,9 @@ fn below_the_collusion_threshold_nothing_is_exposed() {
 /// One attacking cluster head that actually formed a cluster in the
 /// honest run.
 fn one_head(seed: u64, config: IcpdaConfig) -> NodeId {
-    let honest = run_with_plan(seed, config, AdversaryPlan::none());
-    honest
-        .rosters
-        .iter()
-        .find_map(|(node, roster)| (roster.head() == *node).then_some(*node))
+    run_with_plan(seed, config, AdversaryPlan::none())
+        .sharing_heads()
+        .next()
         .expect("the honest run formed a cluster")
 }
 

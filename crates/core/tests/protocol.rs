@@ -2,8 +2,8 @@
 
 use agg::AggFunction;
 use icpda::{
-    evaluate_disclosure, HeadElection, IcpdaConfig, IcpdaRun, IntegrityMode, Pollution,
-    PrivacyMode, Role,
+    evaluate_disclosure, AdversaryPlan, Behavior, HeadElection, IcpdaConfig, IcpdaRun,
+    IntegrityMode, Pollution, PrivacyMode, Role,
 };
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -21,6 +21,16 @@ fn dense_pocket(n: usize) -> Deployment {
 fn paper_network(n: usize, seed: u64) -> Deployment {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     Deployment::uniform_random_with_central_bs(n, Region::paper_default(), 50.0, &mut rng)
+}
+
+/// A plan in which every node of `nodes` pollutes its upstream report.
+fn polluters(nodes: impl IntoIterator<Item = NodeId>, pollution: Pollution) -> AdversaryPlan {
+    let mut plan = AdversaryPlan::none();
+    for node in nodes {
+        plan.assign(node, Behavior::PolluteAggregate(pollution))
+            .unwrap();
+    }
+    plan
 }
 
 #[test]
@@ -159,13 +169,11 @@ fn naive_ch_pollution_is_detected_and_rejected() {
     let honest = IcpdaRun::new(dep.clone(), config, readings.clone(), 9).run();
     assert!(honest.accepted);
     let head = honest
-        .cluster_sizes
-        .iter()
-        .zip(honest.rosters.iter())
-        .find_map(|(_, (node, roster))| (roster.head() == *node).then_some(*node))
+        .sharing_heads()
+        .next()
         .expect("at least one head shared");
     let out = IcpdaRun::new(dep, config, readings, 9)
-        .with_attackers([(head, Pollution::inflate(10_000))])
+        .with_adversary_plan(polluters([head], Pollution::inflate(10_000)))
         .run();
     assert!(!out.accepted, "pollution must be rejected");
     assert!(
@@ -181,13 +189,9 @@ fn consistent_input_forgery_is_detected() {
     let dep = paper_network(150, 4);
     let readings = agg::readings::count_readings(150);
     let honest = IcpdaRun::new(dep.clone(), config, readings.clone(), 9).run();
-    let head = honest
-        .rosters
-        .iter()
-        .find_map(|(node, roster)| (roster.head() == *node).then_some(*node))
-        .expect("a head exists");
+    let head = honest.sharing_heads().next().expect("a head exists");
     let out = IcpdaRun::new(dep, config, readings, 9)
-        .with_attackers([(head, Pollution::forge_input(10_000))])
+        .with_adversary_plan(polluters([head], Pollution::forge_input(10_000)))
         .run();
     assert!(
         !out.accepted,
@@ -201,13 +205,9 @@ fn deflation_is_detected() {
     let dep = paper_network(150, 4);
     let readings = agg::readings::count_readings(150);
     let honest = IcpdaRun::new(dep.clone(), config, readings.clone(), 9).run();
-    let head = honest
-        .rosters
-        .iter()
-        .find_map(|(node, roster)| (roster.head() == *node).then_some(*node))
-        .expect("a head exists");
+    let head = honest.sharing_heads().next().expect("a head exists");
     let out = IcpdaRun::new(dep, config, readings, 9)
-        .with_attackers([(head, Pollution::deflate(50))])
+        .with_adversary_plan(polluters([head], Pollution::deflate(50)))
         .run();
     assert!(!out.accepted, "deflation must be rejected");
 }
@@ -221,13 +221,9 @@ fn integrity_off_misses_pollution() {
     let dep = paper_network(150, 4);
     let readings = agg::readings::count_readings(150);
     let honest = IcpdaRun::new(dep.clone(), config, readings.clone(), 9).run();
-    let head = honest
-        .rosters
-        .iter()
-        .find_map(|(node, roster)| (roster.head() == *node).then_some(*node))
-        .expect("a head exists");
+    let head = honest.sharing_heads().next().expect("a head exists");
     let out = IcpdaRun::new(dep, config, readings, 9)
-        .with_attackers([(head, Pollution::inflate(10_000))])
+        .with_adversary_plan(polluters([head], Pollution::inflate(10_000)))
         .run();
     assert!(out.accepted, "without the integrity layer nothing alarms");
     assert!(
@@ -243,17 +239,13 @@ fn threshold_tolerates_small_pollution_but_not_large() {
     let dep = paper_network(150, 4);
     let readings = agg::readings::count_readings(150);
     let honest = IcpdaRun::new(dep.clone(), config, readings.clone(), 9).run();
-    let head = honest
-        .rosters
-        .iter()
-        .find_map(|(node, roster)| (roster.head() == *node).then_some(*node))
-        .expect("a head exists");
+    let head = honest.sharing_heads().next().expect("a head exists");
     let small = IcpdaRun::new(dep.clone(), config, readings.clone(), 9)
-        .with_attackers([(head, Pollution::inflate(50))])
+        .with_adversary_plan(polluters([head], Pollution::inflate(50)))
         .run();
     assert!(small.accepted, "below Th: tolerated");
     let large = IcpdaRun::new(dep, config, readings, 9)
-        .with_attackers([(head, Pollution::inflate(5_000))])
+        .with_adversary_plan(polluters([head], Pollution::inflate(5_000)))
         .run();
     assert!(!large.accepted, "above Th: rejected");
 }
@@ -264,15 +256,10 @@ fn multiple_independent_attackers_are_detected() {
     let dep = paper_network(200, 6);
     let readings = agg::readings::count_readings(200);
     let honest = IcpdaRun::new(dep.clone(), config, readings.clone(), 13).run();
-    let heads: Vec<NodeId> = honest
-        .rosters
-        .iter()
-        .filter_map(|(node, roster)| (roster.head() == *node).then_some(*node))
-        .take(3)
-        .collect();
+    let heads: Vec<NodeId> = honest.sharing_heads().take(3).collect();
     assert!(heads.len() >= 2, "need several heads");
     let out = IcpdaRun::new(dep, config, readings, 13)
-        .with_attackers(heads.iter().map(|&h| (h, Pollution::inflate(1_000))))
+        .with_adversary_plan(polluters(heads.iter().copied(), Pollution::inflate(1_000)))
         .run();
     assert!(!out.accepted);
     assert!(
@@ -290,13 +277,9 @@ fn phantom_input_is_the_documented_blind_spot() {
     let dep = paper_network(150, 4);
     let readings = agg::readings::count_readings(150);
     let honest = IcpdaRun::new(dep.clone(), config, readings.clone(), 9).run();
-    let head = honest
-        .rosters
-        .iter()
-        .find_map(|(node, roster)| (roster.head() == *node).then_some(*node))
-        .expect("a head exists");
+    let head = honest.sharing_heads().next().expect("a head exists");
     let out = IcpdaRun::new(dep, config, readings, 9)
-        .with_attackers([(head, Pollution::phantom(10_000, 5))])
+        .with_adversary_plan(polluters([head], Pollution::phantom(10_000, 5)))
         .run();
     assert!(out.accepted, "phantom inputs evade local monitoring");
     assert!(out.value > out.truth, "and the pollution lands");
@@ -470,13 +453,9 @@ fn privacy_off_baseline_aggregates_cheaper_but_unverifiable() {
 
     // The synergy: without transparent assembly, a consistent cluster
     // forgery is invisible to members.
-    let head = plain
-        .rosters
-        .iter()
-        .find_map(|(n, r)| (r.head() == *n).then_some(*n))
-        .expect("heads exist");
+    let head = plain.sharing_heads().next().expect("heads exist");
     let forged = IcpdaRun::new(dep, config, readings, 13)
-        .with_attackers([(head, Pollution::forge_input(9_999))])
+        .with_adversary_plan(polluters([head], Pollution::forge_input(9_999)))
         .run();
     assert!(
         forged.accepted,
@@ -543,13 +522,9 @@ fn persistent_attacker_is_caught_every_round() {
     let dep = paper_network(150, 4);
     let readings = agg::readings::count_readings(150);
     let honest = IcpdaRun::new(dep.clone(), config, readings.clone(), 9).run();
-    let head = honest
-        .rosters
-        .iter()
-        .find_map(|(node, roster)| (roster.head() == *node).then_some(*node))
-        .expect("a head exists");
+    let head = honest.sharing_heads().next().expect("a head exists");
     let out = IcpdaRun::new(dep, config, readings, 9)
-        .with_attackers([(head, Pollution::inflate(9_999))])
+        .with_adversary_plan(polluters([head], Pollution::inflate(9_999)))
         .run();
     for (i, d) in out.decisions.iter().enumerate() {
         assert!(!d.accepted, "round {i} must be rejected");
@@ -576,7 +551,7 @@ fn relay_pollution_is_detected() {
     let mut attacked_someone = false;
     for (node, _) in honest.rosters.iter().take(12) {
         let out = IcpdaRun::new(dep.clone(), config, readings.clone(), 13)
-            .with_attackers([(*node, Pollution::inflate(7_777))])
+            .with_adversary_plan(polluters([*node], Pollution::inflate(7_777)))
             .run();
         // The attacker only transmits if it had something to send; when
         // it did, the round must be rejected.

@@ -70,12 +70,6 @@ impl LinkAdversary {
         self.compromised_nodes.contains(&node)
     }
 
-    /// Set of compromised nodes.
-    #[must_use]
-    pub fn compromised_nodes(&self) -> &BTreeSet<NodeId> {
-        &self.compromised_nodes
-    }
-
     /// Whether the adversary can read traffic on the undirected link
     /// `(a, b)`. Deterministic: the same link always gives the same
     /// answer for the same adversary.

@@ -180,20 +180,14 @@ impl Histogram {
     pub fn sum(&self) -> u64 {
         self.sum
     }
-
-    /// Estimates the `q`-quantile (`0.0..=1.0`) from the bucket counts
-    /// by linear interpolation inside the containing bucket. Values in
-    /// the overflow bucket are attributed to the last bound (a lower
-    /// bound on the true quantile). Returns 0 for an empty histogram.
-    #[must_use]
-    pub fn quantile(&self, q: f64) -> f64 {
-        quantile_from_buckets(self.bounds, &self.counts, self.total, q)
-    }
 }
 
-/// Shared quantile estimator over exported bucket data, so the live
-/// [`Histogram`] and the `metrics.jsonl` reader (`report::MetricRow`)
-/// agree to the bit. `counts` is one longer than `bounds` (overflow
+/// Estimates the `q`-quantile (`0.0..=1.0`) of a [`Histogram`] from its
+/// exported bucket data, as the `metrics.jsonl` reader
+/// (`report::MetricRow`) holds it: linear interpolation inside the
+/// containing bucket. Values in the overflow bucket are attributed to
+/// the last bound (a lower bound on the true quantile). Returns 0 for
+/// an empty histogram. `counts` is one longer than `bounds` (overflow
 /// last); `total` is the observation count.
 #[must_use]
 pub fn quantile_from_buckets(bounds: &[u64], counts: &[u64], total: u64, q: f64) -> f64 {

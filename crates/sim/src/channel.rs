@@ -217,21 +217,6 @@ impl ChannelPlan {
         })
     }
 
-    /// Installs an explicit Gilbert–Elliott chain.
-    ///
-    /// # Errors
-    ///
-    /// [`ChannelPlanError::ProbabilityOutOfRange`] if any parameter
-    /// leaves `[0, 1]`.
-    pub fn with_gilbert_elliott(mut self, ge: GilbertElliott) -> Result<Self, ChannelPlanError> {
-        probability("good->bad transition", ge.p_gb)?;
-        probability("bad->good transition", ge.p_bg)?;
-        probability("good-state loss", ge.loss_good)?;
-        probability("bad-state loss", ge.loss_bad)?;
-        self.ge = Some(ge);
-        Ok(self)
-    }
-
     /// Adds per-reception frame corruption with probability `p`.
     ///
     /// # Errors

@@ -10,7 +10,7 @@
 //! Run with: `cargo run --release --example attacker_quarantine`
 
 use agg::AggFunction;
-use icpda::{run_session, IcpdaConfig, IcpdaRun, Pollution};
+use icpda::{run_session, AdversaryPlan, Behavior, IcpdaConfig, IcpdaRun, Pollution};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use wsn_sim::geometry::Region;
@@ -26,21 +26,16 @@ fn main() {
 
     // Find a cluster head to compromise (probe run, same seed as round 0).
     let probe = IcpdaRun::new(deployment.clone(), config, readings.clone(), 42).run();
-    let attacker = probe
-        .rosters
-        .iter()
-        .find_map(|(node, roster)| (roster.head() == *node).then_some(*node))
-        .expect("clusters formed");
+    let attacker = probe.sharing_heads().next().expect("clusters formed");
     println!("persistent polluter installed at cluster head {attacker}\n");
 
-    let session = run_session(
-        &deployment,
-        config,
-        &readings,
-        42,
-        &[(attacker, Pollution::inflate(50_000))],
-        5,
-    );
+    let mut plan = AdversaryPlan::none();
+    plan.assign(
+        attacker,
+        Behavior::PolluteAggregate(Pollution::inflate(50_000)),
+    )
+    .expect("a cluster head is never the base station");
+    let session = run_session(&deployment, config, &readings, 42, &plan, 5);
 
     for (i, round) in session.rounds.iter().enumerate() {
         println!(

@@ -10,7 +10,7 @@
 //! Run with: `cargo run --release --example pollution_attack`
 
 use agg::AggFunction;
-use icpda::{IcpdaConfig, IcpdaRun, Pollution};
+use icpda::{AdversaryPlan, Behavior, IcpdaConfig, IcpdaRun, Pollution};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use wsn_sim::geometry::Region;
@@ -34,9 +34,8 @@ fn main() {
 
     // Compromise one of the cluster heads that actually formed a cluster.
     let attacker = honest
-        .rosters
-        .iter()
-        .find_map(|(node, roster)| (roster.head() == *node).then_some(*node))
+        .sharing_heads()
+        .next()
         .expect("the honest run formed clusters");
     println!("compromising cluster head {attacker}\n");
 
@@ -45,8 +44,11 @@ fn main() {
         ("forge input (consistent)", Pollution::forge_input(5_000)),
         ("phantom input (stealthy)", Pollution::phantom(5_000, 10)),
     ] {
+        let mut plan = AdversaryPlan::none();
+        plan.assign(attacker, Behavior::PolluteAggregate(pollution))
+            .expect("a cluster head is never the base station");
         let out = IcpdaRun::new(deployment.clone(), config, readings.clone(), 13)
-            .with_attackers([(attacker, pollution)])
+            .with_adversary_plan(plan)
             .run();
         println!(
             "{label:<26}: value {:>6.0}  accepted {}  alarms {:?}",

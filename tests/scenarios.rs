@@ -2,7 +2,7 @@
 //! regression tests behind the runnable examples.
 
 use icpda_suite::agg::{self, function::pack_grouped, AggFunction};
-use icpda_suite::icpda::{run_session_with_slander, IcpdaConfig, IcpdaRun, Pollution};
+use icpda_suite::icpda::{run_session, AdversaryPlan, Behavior, IcpdaConfig, IcpdaRun, Pollution};
 use icpda_suite::wsn_sim::geometry::Region;
 use icpda_suite::wsn_sim::topology::Deployment;
 use rand::SeedableRng;
@@ -84,10 +84,7 @@ fn polluter_and_slanderer_both_quarantined() {
     let dep = network(n, 9);
     let readings = agg::readings::count_readings(n);
     let probe = IcpdaRun::new(dep.clone(), config, readings.clone(), 17).run();
-    let mut heads = probe
-        .rosters
-        .iter()
-        .filter_map(|(node, r)| (r.head() == *node).then_some(*node));
+    let mut heads = probe.sharing_heads();
     let polluter = heads.next().expect("a head");
     let victim = heads.next().expect("another head");
     let slanderer = probe
@@ -97,15 +94,14 @@ fn polluter_and_slanderer_both_quarantined() {
             (r.head() != *node && *node != polluter && *node != victim).then_some(*node)
         })
         .expect("a member");
-    let session = run_session_with_slander(
-        &dep,
-        config,
-        &readings,
-        17,
-        &[(polluter, Pollution::inflate(7_000))],
-        &[(slanderer, victim)],
-        8,
-    );
+    let mut plan = AdversaryPlan::none();
+    plan.assign(
+        polluter,
+        Behavior::PolluteAggregate(Pollution::inflate(7_000)),
+    )
+    .unwrap();
+    plan.assign(slanderer, Behavior::Slander(victim)).unwrap();
+    let session = run_session(&dep, config, &readings, 17, &plan, 8);
     let accepted = session.accepted().expect("session converges");
     assert!(
         session.excluded.contains(&polluter),
