@@ -204,8 +204,6 @@ pub struct IcpdaConfig {
     /// Maximum roster size (bounded so contributor sets fit a 64-bit
     /// mask; joins beyond this are rejected).
     pub max_cluster_size: usize,
-    /// Whether lost shares trigger one NACK/retransmit repair round.
-    pub share_repair: bool,
     /// Privacy layer switch (ablation).
     pub privacy: PrivacyMode,
     /// Integrity layer switch.
@@ -220,8 +218,8 @@ pub struct IcpdaConfig {
     pub rounds: u16,
     /// Phase timing.
     pub schedule: PhaseSchedule,
-    /// Retry budgets and backoff for the blind-retransmission (ARQ)
-    /// layer; see [`crate::reliability`].
+    /// Retry budgets for the blind-retransmission (ARQ) layer; see
+    /// [`crate::reliability`].
     pub reliability: crate::reliability::ReliabilityConfig,
     /// Master secret for pairwise link keys.
     pub key_master: u64,
@@ -237,8 +235,8 @@ pub struct IcpdaConfig {
 impl IcpdaConfig {
     /// The paper's recommended configuration: fixed `p_c = 0.25`
     /// (expected cluster size ≈ 4), minimum cluster size 3 (the smallest
-    /// size with non-trivial collusion resistance), repair on, integrity
-    /// on, `Th = 0`.
+    /// size with non-trivial collusion resistance), integrity on,
+    /// `Th = 0`.
     #[must_use]
     pub fn paper_default(function: AggFunction) -> Self {
         IcpdaConfig {
@@ -246,7 +244,6 @@ impl IcpdaConfig {
             election: HeadElection::Fixed(0.25),
             min_cluster_size: 3,
             max_cluster_size: 16,
-            share_repair: true,
             privacy: PrivacyMode::On,
             integrity: IntegrityMode::On,
             threshold: 0,
@@ -281,10 +278,6 @@ impl IcpdaConfig {
         assert!(
             self.threshold <= crate::monitor::MAX_MEANINGFUL_THRESHOLD,
             "threshold beyond (p-1)/2 disables monitoring entirely"
-        );
-        assert!(
-            self.reliability.backoff >= 1,
-            "backoff multiplier must be at least 1"
         );
     }
 }
@@ -351,14 +344,6 @@ mod tests {
     fn absurd_threshold_rejected() {
         let mut c = IcpdaConfig::paper_default(AggFunction::Sum);
         c.threshold = crate::monitor::MAX_MEANINGFUL_THRESHOLD + 1;
-        c.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "backoff multiplier")]
-    fn zero_backoff_rejected() {
-        let mut c = IcpdaConfig::paper_default(AggFunction::Sum);
-        c.reliability.backoff = 0;
         c.validate();
     }
 

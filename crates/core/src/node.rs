@@ -17,13 +17,13 @@
 
 use crate::adversary::{Behavior, CollusionView};
 use crate::cluster::Roster;
-use crate::config::{IcpdaConfig, IntegrityMode, PrivacyMode};
+use crate::config::{IcpdaConfig, IntegrityMode, PhaseSchedule, PrivacyMode};
 use crate::monitor::{CachedAggregate, CheckOutcome, MonitorCache, ViolationKind};
 use crate::msg::{IcpdaMsg, InputClaim, MergedRef};
 use crate::reliability::RetryState;
 use crate::shares::{
-    assemble, generate_shares, generate_shares_t, recover_sum, recover_sum_at, share_from_bytes,
-    share_to_bytes, ShareVector,
+    assemble, generate_shares, generate_shares_t, recover_sum_at, share_from_bytes, share_to_bytes,
+    ShareVector,
 };
 use agg::field::{random_fp, Fp};
 use rand::Rng;
@@ -59,6 +59,66 @@ const TIMER_ANNOUNCE_REPEAT: TimerToken = 21;
 const TIMER_JOIN_REPEAT: TimerToken = 22;
 const TIMER_SHARES_REPEAT: TimerToken = 23;
 const TIMER_FSUM_REPEAT: TimerToken = 24;
+
+/// The blind repeats (see [`crate::reliability`]): messages whose loss
+/// nothing else repairs, so the sender re-sends each on its retry budget
+/// until the budget runs out or the repeat's guard no longer holds.
+/// Receivers are idempotent to every one of them.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Repeat {
+    /// A lost roster kills the whole cluster.
+    Roster,
+    /// A single collision at the parent would silently drop a whole
+    /// subtree; receivers deduplicate on `(sender, msg_id)`.
+    Upstream,
+    /// A lost announce means nearby members never consider the cluster.
+    Announce,
+    /// A lost join silently shrinks the roster, which no later repair
+    /// round can undo. The roster doubles as its acknowledgement.
+    Join,
+    /// Share unicasts have no broadcast redundancy, and the NACK repair
+    /// rounds ride the same lossy channel; every outgoing share is
+    /// re-queued through the drain spacing.
+    Shares,
+    /// A lost assembly broadcast costs the cluster a solve input.
+    Fsum,
+}
+
+impl Repeat {
+    /// One retry budget per kind.
+    const COUNT: usize = Repeat::Fsum as usize + 1;
+
+    fn token(self) -> TimerToken {
+        match self {
+            Repeat::Roster => TIMER_ROSTER_REPEAT,
+            Repeat::Upstream => TIMER_UPSTREAM_REPEAT,
+            Repeat::Announce => TIMER_ANNOUNCE_REPEAT,
+            Repeat::Join => TIMER_JOIN_REPEAT,
+            Repeat::Shares => TIMER_SHARES_REPEAT,
+            Repeat::Fsum => TIMER_FSUM_REPEAT,
+        }
+    }
+
+    /// The `(base, jitter)` of each retry delay.
+    fn timing(self, s: &PhaseSchedule) -> (SimDuration, SimDuration) {
+        match self {
+            Repeat::Roster => (s.roster_repeat_after, s.roster_repeat_jitter),
+            // A sixth of the share→repair gap, so the whole budget still
+            // lands around the NACK repair rounds, before assembly.
+            Repeat::Shares => (
+                s.repair_after.saturating_sub(s.shares_after) / 6,
+                s.nack_jitter,
+            ),
+            _ => (s.upstream_repeat_after, s.upstream_repeat_jitter),
+        }
+    }
+
+    /// Whether the repeat runs only under `cluster_arq`; the roster and
+    /// upstream repeats run on every budget.
+    fn needs_cluster_arq(self) -> bool {
+        !matches!(self, Repeat::Roster | Repeat::Upstream)
+    }
+}
 
 // Protocol-phase span names (see DESIGN §12). Spans are recorded per
 // node at `ObsLevel::Phases` and bracket the protocol's observable
@@ -178,14 +238,8 @@ pub struct IcpdaNode {
     pending_upstream: Option<SharedPayload<IcpdaMsg>>,
     upstream_sent: bool,
 
-    // Reliability: per-message retry budgets (see `crate::reliability`).
-    roster_retry: RetryState,
-    upstream_retry: RetryState,
-    // Cluster-phase budgets, only armed under `cluster_arq`.
-    announce_retry: RetryState,
-    join_retry: RetryState,
-    share_retry: RetryState,
-    fsum_retry: RetryState,
+    /// One retry budget per blind repeat, indexed by [`Repeat`].
+    retries: [RetryState; Repeat::COUNT],
 
     // Integrity.
     monitor: MonitorCache,
@@ -270,12 +324,7 @@ impl IcpdaNode {
             seen_upstream: BTreeSet::new(),
             pending_upstream: None,
             upstream_sent: false,
-            roster_retry: RetryState::new(),
-            upstream_retry: RetryState::new(),
-            announce_retry: RetryState::new(),
-            join_retry: RetryState::new(),
-            share_retry: RetryState::new(),
-            fsum_retry: RetryState::new(),
+            retries: [RetryState::new(); Repeat::COUNT],
             monitor: MonitorCache::new(),
             alarms_raised: BTreeSet::new(),
             alarms_forwarded: BTreeSet::new(),
@@ -449,6 +498,118 @@ impl IcpdaNode {
         ctx.metrics().bump("icpda_share_sent");
     }
 
+    /// Arms `kind`'s first blind repeat on a fresh retry budget. Returns
+    /// `false` when none is armed: the budget is empty, or `kind` needs
+    /// `cluster_arq` and it is off.
+    fn arm_repeat(&mut self, ctx: &mut Context<'_, IcpdaMsg>, kind: Repeat) -> bool {
+        if kind.needs_cluster_arq() && !self.config.reliability.cluster_arq {
+            return false;
+        }
+        self.retries[kind as usize] = RetryState::new();
+        self.rearm_repeat(ctx, kind)
+    }
+
+    /// Consumes one retry of `kind`'s budget (one jitter draw) and sets
+    /// its timer; `false` once the budget is spent.
+    fn rearm_repeat(&mut self, ctx: &mut Context<'_, IcpdaMsg>, kind: Repeat) -> bool {
+        let (base, jitter) = kind.timing(&self.config.schedule);
+        let rel = self.config.reliability;
+        match self.retries[kind as usize].next_delay(&rel, base, jitter, ctx.rng()) {
+            Some(delay) => {
+                ctx.set_timer(delay, kind.token());
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// A repeat timer fired: re-send if the guard still holds, then
+    /// re-arm until the budget is spent. Without ACKs the deadline itself
+    /// is the timeout signal.
+    fn on_repeat(&mut self, ctx: &mut Context<'_, IcpdaMsg>, kind: Repeat) {
+        let rearmed = match self.resend(ctx, kind) {
+            Some(frames) => {
+                ctx.metrics().bump("icpda_rel_timeout");
+                ctx.metrics().add("icpda_rel_retransmit", frames);
+                let rearmed = self.rearm_repeat(ctx, kind);
+                if !rearmed {
+                    ctx.metrics().bump("icpda_rel_exhausted");
+                }
+                rearmed
+            }
+            None => false,
+        };
+        if !rearmed && kind == Repeat::Upstream {
+            obs_phase_end(ctx, PHASE_ASCENT_VERIFY);
+        }
+    }
+
+    /// Re-sends `kind`'s message unless its guard says the repeat is
+    /// moot; returns the number of frames queued.
+    fn resend(&mut self, ctx: &mut Context<'_, IcpdaMsg>, kind: Repeat) -> Option<u64> {
+        match kind {
+            Repeat::Roster => {
+                let roster = self.roster.as_ref()?;
+                ctx.broadcast(IcpdaMsg::ClusterInfo {
+                    head: ctx.id(),
+                    members: roster.members().to_vec(),
+                    stagger_ms: self.my_stagger_ms,
+                });
+            }
+            Repeat::Upstream => {
+                let msg = self.pending_upstream.as_ref()?;
+                ctx.send_shared(self.flood_parent?, msg);
+            }
+            Repeat::Announce => {
+                if self.role != Role::Head || self.has_resigned {
+                    return None;
+                }
+                ctx.broadcast(IcpdaMsg::HeadAnnounce);
+            }
+            Repeat::Join => {
+                let Role::Member(head) = self.role else {
+                    return None;
+                };
+                if self.roster.is_some() || self.resigned_heads.contains(&head) {
+                    return None;
+                }
+                ctx.send(head, IcpdaMsg::Join { head });
+            }
+            Repeat::Shares => {
+                if self.config.privacy == PrivacyMode::Off
+                    || !self.shared
+                    || self.participating_roster().is_none()
+                    || self.outgoing_shares.is_empty()
+                {
+                    return None;
+                }
+                let idle = self.share_sendq.is_empty();
+                self.share_sendq.extend(
+                    self.outgoing_shares
+                        .iter()
+                        .map(|(member, share)| (*member, share.clone())),
+                );
+                if idle {
+                    self.drain_one_share(ctx);
+                }
+                return Some(self.outgoing_shares.len() as u64);
+            }
+            Repeat::Fsum => {
+                if self.config.privacy == PrivacyMode::Off {
+                    return None;
+                }
+                let roster = self.participating_roster()?;
+                let (assembly, contributors) = self.fsums.get(&roster.position(ctx.id())?)?;
+                ctx.broadcast(IcpdaMsg::FSum {
+                    cluster: roster.head(),
+                    values: assembly.iter().map(|f| f.to_u64()).collect(),
+                    contributors: *contributors,
+                });
+            }
+        }
+        Some(1)
+    }
+
     fn handle_query(&mut self, ctx: &mut Context<'_, IcpdaMsg>, from: NodeId, level: u16) {
         if self.excluded {
             return;
@@ -480,15 +641,21 @@ impl IcpdaNode {
         let elect_jitter =
             SimDuration::from_nanos(ctx.rng().gen_range(0..s.elect_after.as_nanos().max(2) / 2));
         ctx.set_timer(s.elect_after + elect_jitter, TIMER_ELECT);
-        // Upstream slot: depth-scheduled with intra-slot dispersion (same
-        // hidden-terminal reasoning as TAG's slot dispersion).
+        self.schedule_upstream(ctx, my_level);
+    }
+
+    /// Arms this round's upstream slot: depth-scheduled with intra-slot
+    /// dispersion (same hidden-terminal reasoning as TAG's slot
+    /// dispersion).
+    fn schedule_upstream(&self, ctx: &mut Context<'_, IcpdaMsg>, level: u16) {
+        let s = self.config.schedule;
         let dispersion_ns = s.upstream_slot().as_nanos() * 6 / 10;
         let jitter = if dispersion_ns == 0 {
             SimDuration::ZERO
         } else {
             SimDuration::from_nanos(ctx.rng().gen_range(0..dispersion_ns))
         };
-        ctx.set_timer(s.upstream_time(my_level) + jitter, TIMER_UPSTREAM);
+        ctx.set_timer(s.upstream_time(level) + jitter, TIMER_UPSTREAM);
     }
 
     fn handle_elect(&mut self, ctx: &mut Context<'_, IcpdaMsg>) {
@@ -498,20 +665,7 @@ impl IcpdaNode {
         if is_head {
             self.role = Role::Head;
             ctx.broadcast(IcpdaMsg::HeadAnnounce);
-            if self.config.reliability.cluster_arq {
-                // A lost announce means nearby members never even consider
-                // this cluster; repeat it on the budget (members dedup via
-                // `heads_heard`).
-                self.announce_retry = RetryState::new();
-                if let Some(repeat) = self.announce_retry.next_delay(
-                    &self.config.reliability,
-                    s.upstream_repeat_after,
-                    s.upstream_repeat_jitter,
-                    ctx.rng(),
-                ) {
-                    ctx.set_timer(repeat, TIMER_ANNOUNCE_REPEAT);
-                }
-            }
+            self.arm_repeat(ctx, Repeat::Announce);
             // Dispersed so concurrent heads' roster broadcasts (the single
             // point of failure for a whole cluster) do not collide.
             ctx.set_timer(s.resign_after, TIMER_RESIGN);
@@ -550,74 +704,9 @@ impl IcpdaNode {
         let head = self.heads_heard[pick];
         self.role = Role::Member(head);
         ctx.send(head, IcpdaMsg::Join { head });
-        self.arm_join_repeat(ctx);
+        self.arm_repeat(ctx, Repeat::Join);
         if self.config.crash_recovery {
             self.schedule_head_check(ctx);
-        }
-    }
-
-    /// Under `cluster_arq`, blindly repeats the join unicast on the retry
-    /// budget: a lost join silently shrinks the roster (the head never
-    /// learns the member exists), which no later repair round can undo.
-    fn arm_join_repeat(&mut self, ctx: &mut Context<'_, IcpdaMsg>) {
-        if !self.config.reliability.cluster_arq {
-            return;
-        }
-        let s = self.config.schedule;
-        self.join_retry = RetryState::new();
-        if let Some(repeat) = self.join_retry.next_delay(
-            &self.config.reliability,
-            s.upstream_repeat_after,
-            s.upstream_repeat_jitter,
-            ctx.rng(),
-        ) {
-            ctx.set_timer(repeat, TIMER_JOIN_REPEAT);
-        }
-    }
-
-    fn handle_join_repeat(&mut self, ctx: &mut Context<'_, IcpdaMsg>) {
-        let Role::Member(head) = self.role else {
-            return;
-        };
-        // The roster doubles as the join's implicit acknowledgement.
-        if self.roster.is_some() || self.resigned_heads.contains(&head) {
-            return;
-        }
-        ctx.metrics().bump("icpda_rel_timeout");
-        ctx.send(head, IcpdaMsg::Join { head });
-        ctx.metrics().bump("icpda_rel_retransmit");
-        let rel = self.config.reliability;
-        let s = self.config.schedule;
-        if let Some(repeat) = self.join_retry.next_delay(
-            &rel,
-            s.upstream_repeat_after,
-            s.upstream_repeat_jitter,
-            ctx.rng(),
-        ) {
-            ctx.set_timer(repeat, TIMER_JOIN_REPEAT);
-        } else {
-            ctx.metrics().bump("icpda_rel_exhausted");
-        }
-    }
-
-    fn handle_announce_repeat(&mut self, ctx: &mut Context<'_, IcpdaMsg>) {
-        if self.role != Role::Head || self.has_resigned {
-            return;
-        }
-        ctx.metrics().bump("icpda_rel_timeout");
-        ctx.broadcast(IcpdaMsg::HeadAnnounce);
-        ctx.metrics().bump("icpda_rel_retransmit");
-        let rel = self.config.reliability;
-        let s = self.config.schedule;
-        if let Some(repeat) = self.announce_retry.next_delay(
-            &rel,
-            s.upstream_repeat_after,
-            s.upstream_repeat_jitter,
-            ctx.rng(),
-        ) {
-            ctx.set_timer(repeat, TIMER_ANNOUNCE_REPEAT);
-        } else {
-            ctx.metrics().bump("icpda_rel_exhausted");
         }
     }
 
@@ -696,7 +785,7 @@ impl IcpdaNode {
         let head = candidates[ctx.rng().gen_range(0..candidates.len())];
         self.role = Role::Member(head);
         ctx.send(head, IcpdaMsg::Join { head });
-        self.arm_join_repeat(ctx);
+        self.arm_repeat(ctx, Repeat::Join);
         ctx.metrics().bump("icpda_rejoined");
         if self.config.crash_recovery {
             self.schedule_head_check(ctx);
@@ -730,46 +819,10 @@ impl IcpdaNode {
         let participates = roster.len() >= self.config.min_cluster_size;
         self.roster = Some(roster);
         if participates {
-            // Losing the roster kills the whole cluster, so the head
-            // blindly repeats it on its retry budget (receivers are
-            // idempotent).
-            let s = self.config.schedule;
-            self.roster_retry = RetryState::new();
-            if let Some(repeat) = self.roster_retry.next_delay(
-                &self.config.reliability,
-                s.roster_repeat_after,
-                s.roster_repeat_jitter,
-                ctx.rng(),
-            ) {
-                ctx.set_timer(repeat, TIMER_ROSTER_REPEAT);
-            }
+            self.arm_repeat(ctx, Repeat::Roster);
             self.schedule_share_phases(ctx, stagger_ms);
         } else {
             ctx.metrics().bump("icpda_cluster_too_small");
-        }
-    }
-
-    fn handle_roster_repeat(&mut self, ctx: &mut Context<'_, IcpdaMsg>) {
-        if let Some(roster) = self.roster.clone() {
-            // Without ACKs the deadline itself is the timeout signal.
-            ctx.metrics().bump("icpda_rel_timeout");
-            ctx.broadcast(IcpdaMsg::ClusterInfo {
-                head: ctx.id(),
-                members: roster.members().to_vec(),
-                stagger_ms: self.my_stagger_ms,
-            });
-            ctx.metrics().bump("icpda_rel_retransmit");
-            let s = self.config.schedule;
-            if let Some(repeat) = self.roster_retry.next_delay(
-                &self.config.reliability,
-                s.roster_repeat_after,
-                s.roster_repeat_jitter,
-                ctx.rng(),
-            ) {
-                ctx.set_timer(repeat, TIMER_ROSTER_REPEAT);
-            } else {
-                ctx.metrics().bump("icpda_rel_exhausted");
-            }
         }
     }
 
@@ -787,19 +840,17 @@ impl IcpdaNode {
             SimDuration::from_nanos(ctx.rng().gen_range(0..window.as_nanos()))
         };
         ctx.set_timer(stagger + s.shares_after + jitter, TIMER_SHARES);
-        if self.config.share_repair {
-            // Every member discovers its gaps at the same deadline, so
-            // un-jittered NACK broadcasts would collide at the head.
-            let nack_jitter =
-                SimDuration::from_nanos(ctx.rng().gen_range(0..s.nack_jitter.as_nanos().max(1)));
-            ctx.set_timer(stagger + s.repair_after + nack_jitter, TIMER_REPAIR);
-            let nack2_jitter =
-                SimDuration::from_nanos(ctx.rng().gen_range(0..s.nack_jitter.as_nanos().max(1)));
-            ctx.set_timer(
-                stagger + s.repair_after + s.repair2_offset + nack2_jitter,
-                TIMER_REPAIR2,
-            );
-        }
+        // Every member discovers its gaps at the same deadline, so
+        // un-jittered NACK broadcasts would collide at the head.
+        let nack_jitter =
+            SimDuration::from_nanos(ctx.rng().gen_range(0..s.nack_jitter.as_nanos().max(1)));
+        ctx.set_timer(stagger + s.repair_after + nack_jitter, TIMER_REPAIR);
+        let nack2_jitter =
+            SimDuration::from_nanos(ctx.rng().gen_range(0..s.nack_jitter.as_nanos().max(1)));
+        ctx.set_timer(
+            stagger + s.repair_after + s.repair2_offset + nack2_jitter,
+            TIMER_REPAIR2,
+        );
         let fsum_window = s.solve_after.saturating_sub(s.fsum_after) / 2;
         let fsum_jitter = if fsum_window.is_zero() {
             SimDuration::ZERO
@@ -807,14 +858,12 @@ impl IcpdaNode {
             SimDuration::from_nanos(ctx.rng().gen_range(0..fsum_window.as_nanos()))
         };
         ctx.set_timer(stagger + s.fsum_after + fsum_jitter, TIMER_FSUM);
-        if self.config.share_repair {
-            let fsum_nack_jitter =
-                SimDuration::from_nanos(ctx.rng().gen_range(0..s.nack_jitter.as_nanos().max(1)));
-            ctx.set_timer(
-                stagger + s.fsum_repair_after + fsum_nack_jitter,
-                TIMER_FSUM_REPAIR,
-            );
-        }
+        let fsum_nack_jitter =
+            SimDuration::from_nanos(ctx.rng().gen_range(0..s.nack_jitter.as_nanos().max(1)));
+        ctx.set_timer(
+            stagger + s.fsum_repair_after + fsum_nack_jitter,
+            TIMER_FSUM_REPAIR,
+        );
         ctx.set_timer(stagger + s.solve_after, TIMER_SOLVE);
     }
 
@@ -867,10 +916,7 @@ impl IcpdaNode {
         self.absorbed_inputs.clear();
         self.upstream_sent = false;
         self.pending_upstream = None;
-        self.upstream_retry = RetryState::new();
-        self.roster_retry = RetryState::new();
-        self.share_retry = RetryState::new();
-        self.fsum_retry = RetryState::new();
+        self.retries = [RetryState::new(); Repeat::COUNT];
         self.alarms_raised.clear();
         self.alarms_forwarded.clear();
         self.parent_forwarded = false;
@@ -885,14 +931,7 @@ impl IcpdaNode {
         }
         // Re-join the relay schedule for this round.
         if let Some(level) = self.level {
-            let s = self.config.schedule;
-            let dispersion_ns = s.upstream_slot().as_nanos() * 6 / 10;
-            let jitter = if dispersion_ns == 0 {
-                SimDuration::ZERO
-            } else {
-                SimDuration::from_nanos(ctx.rng().gen_range(0..dispersion_ns))
-            };
-            ctx.set_timer(s.upstream_time(level) + jitter, TIMER_UPSTREAM);
+            self.schedule_upstream(ctx, level);
         }
         if self.participating_roster().is_some() {
             let stagger = self.my_stagger_ms;
@@ -988,61 +1027,7 @@ impl IcpdaNode {
         }
         // LIFO drain order doesn't matter; what matters is the spacing.
         self.drain_one_share(ctx);
-        if self.config.reliability.cluster_arq {
-            // Blind full re-sends on the retry budget: share unicasts have
-            // no broadcast redundancy, and the NACK repair rounds
-            // themselves ride the same lossy channel. Receivers
-            // overwrite-insert, so duplicates are free.
-            self.share_retry = RetryState::new();
-            self.arm_shares_repeat(ctx);
-        }
-    }
-
-    /// The base delay between blind share re-sends: a sixth of the
-    /// share→repair gap, so the whole budget (with exponential backoff)
-    /// still lands around the NACK repair rounds, before assembly.
-    fn shares_repeat_base(&self) -> SimDuration {
-        let s = self.config.schedule;
-        s.repair_after.saturating_sub(s.shares_after) / 6
-    }
-
-    fn arm_shares_repeat(&mut self, ctx: &mut Context<'_, IcpdaMsg>) -> bool {
-        let base = self.shares_repeat_base();
-        let jitter = self.config.schedule.nack_jitter;
-        let rel = self.config.reliability;
-        if let Some(repeat) = self.share_retry.next_delay(&rel, base, jitter, ctx.rng()) {
-            ctx.set_timer(repeat, TIMER_SHARES_REPEAT);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// A blind share re-send (`cluster_arq` only): re-queues every
-    /// outgoing share through the drain spacing.
-    fn handle_shares_repeat(&mut self, ctx: &mut Context<'_, IcpdaMsg>) {
-        if self.config.privacy == PrivacyMode::Off || !self.shared {
-            return;
-        }
-        if self.participating_roster().is_none() || self.outgoing_shares.is_empty() {
-            return;
-        }
-        ctx.metrics().bump("icpda_rel_timeout");
-        let resend: Vec<(NodeId, ShareVector)> = self
-            .outgoing_shares
-            .iter()
-            .map(|(member, share)| (*member, share.clone()))
-            .collect();
-        ctx.metrics()
-            .add("icpda_rel_retransmit", resend.len() as u64);
-        let idle = self.share_sendq.is_empty();
-        self.share_sendq.extend(resend);
-        if idle {
-            self.drain_one_share(ctx);
-        }
-        if !self.arm_shares_repeat(ctx) {
-            ctx.metrics().bump("icpda_rel_exhausted");
-        }
+        self.arm_repeat(ctx, Repeat::Shares);
     }
 
     /// Sends the next queued share and, if any remain, re-arms the drain
@@ -1271,55 +1256,7 @@ impl IcpdaNode {
             values: assembly.iter().map(|f| f.to_u64()).collect(),
             contributors,
         });
-        if self.config.reliability.cluster_arq {
-            // Losing an assembly broadcast costs the cluster a solve input;
-            // repeat it on the budget (receivers store by position, so
-            // duplicates are idempotent).
-            let s = self.config.schedule;
-            self.fsum_retry = RetryState::new();
-            if let Some(repeat) = self.fsum_retry.next_delay(
-                &self.config.reliability,
-                s.upstream_repeat_after,
-                s.upstream_repeat_jitter,
-                ctx.rng(),
-            ) {
-                ctx.set_timer(repeat, TIMER_FSUM_REPEAT);
-            }
-        }
-    }
-
-    fn handle_fsum_repeat(&mut self, ctx: &mut Context<'_, IcpdaMsg>) {
-        if self.config.privacy == PrivacyMode::Off {
-            return;
-        }
-        let Some(roster) = self.participating_roster().cloned() else {
-            return;
-        };
-        let Some(my_pos) = roster.position(ctx.id()) else {
-            return;
-        };
-        let Some((assembly, contributors)) = self.fsums.get(&my_pos).cloned() else {
-            return;
-        };
-        ctx.metrics().bump("icpda_rel_timeout");
-        ctx.broadcast(IcpdaMsg::FSum {
-            cluster: roster.head(),
-            values: assembly.iter().map(|f| f.to_u64()).collect(),
-            contributors,
-        });
-        ctx.metrics().bump("icpda_rel_retransmit");
-        let rel = self.config.reliability;
-        let s = self.config.schedule;
-        if let Some(repeat) = self.fsum_retry.next_delay(
-            &rel,
-            s.upstream_repeat_after,
-            s.upstream_repeat_jitter,
-            ctx.rng(),
-        ) {
-            ctx.set_timer(repeat, TIMER_FSUM_REPEAT);
-        } else {
-            ctx.metrics().bump("icpda_rel_exhausted");
-        }
+        self.arm_repeat(ctx, Repeat::Fsum);
     }
 
     fn handle_fsum_repair_timer(&mut self, ctx: &mut Context<'_, IcpdaMsg>) {
@@ -1517,8 +1454,12 @@ impl IcpdaNode {
             ctx.metrics().bump("icpda_cluster_failed_empty");
             return;
         }
-        let assemblies: Vec<ShareVector> = self.fsums.values().map(|f| f.0.clone()).collect();
-        let Some(sum) = recover_sum(&assemblies) else {
+        let points: Vec<(usize, ShareVector)> = self
+            .fsums
+            .iter()
+            .map(|(&p, (a, _))| (p, a.clone()))
+            .collect();
+        let Some(sum) = recover_sum_at(&points) else {
             ctx.metrics().bump("icpda_cluster_failed_solve");
             return;
         };
@@ -1669,22 +1610,9 @@ impl IcpdaNode {
             inputs,
         });
         ctx.send_shared(parent, &msg);
-        // A single collision at the parent would silently drop a whole
-        // subtree, so every report is retransmitted on its retry budget;
-        // receivers deduplicate on (sender, msg_id).
         self.pending_upstream = Some(msg);
         self.upstream_target = Some(parent);
-        self.upstream_retry = RetryState::new();
-        let rel = self.config.reliability;
-        let s = self.config.schedule;
-        if let Some(repeat) = self.upstream_retry.next_delay(
-            &rel,
-            s.upstream_repeat_after,
-            s.upstream_repeat_jitter,
-            ctx.rng(),
-        ) {
-            ctx.set_timer(repeat, TIMER_UPSTREAM_REPEAT);
-        } else {
+        if !self.arm_repeat(ctx, Repeat::Upstream) {
             // ARQ off: nothing will fire to close the verify span.
             obs_phase_end(ctx, PHASE_ASCENT_VERIFY);
         }
@@ -1841,6 +1769,22 @@ impl IcpdaNode {
         );
     }
 
+    /// Accuses `accused`, once per round: the base station records the
+    /// alarm itself, any other node sends it to its flood parent. Returns
+    /// whether the accusation is new.
+    fn raise_alarm(&mut self, ctx: &mut Context<'_, IcpdaMsg>, accused: NodeId) -> bool {
+        if !self.alarms_raised.insert(accused) {
+            return false;
+        }
+        let accuser = ctx.id();
+        if self.is_base_station {
+            self.bs_alarms.push((accuser, accused));
+        } else if let Some(parent) = self.flood_parent {
+            ctx.send(parent, IcpdaMsg::Alarm { accuser, accused });
+        }
+        true
+    }
+
     /// Shared audit path for received and overheard upstream reports.
     fn audit_upstream(
         &mut self,
@@ -1863,17 +1807,8 @@ impl IcpdaNode {
                     ViolationKind::InconsistentSum => "icpda_violation_inconsistent",
                     ViolationKind::ForgedInput => "icpda_violation_forged_input",
                 });
-                if self.alarms_raised.insert(sender) {
+                if self.raise_alarm(ctx, sender) {
                     ctx.metrics().bump("icpda_alarm_raised");
-                    let alarm = IcpdaMsg::Alarm {
-                        accuser: ctx.id(),
-                        accused: sender,
-                    };
-                    if self.is_base_station {
-                        self.bs_alarms.push((ctx.id(), sender));
-                    } else if let Some(parent) = self.flood_parent {
-                        ctx.send(parent, alarm);
-                    }
                 }
             }
             CheckOutcome::Clean => ctx.metrics().bump("icpda_audit_clean"),
@@ -1933,17 +1868,7 @@ impl IcpdaNode {
             && (participants > 0 || totals.iter().any(|t| !t.is_zero()))
         {
             ctx.metrics().bump("icpda_upstream_unaudited");
-            if self.alarms_raised.insert(from) {
-                let alarm = IcpdaMsg::Alarm {
-                    accuser: ctx.id(),
-                    accused: from,
-                };
-                if self.is_base_station {
-                    self.bs_alarms.push((ctx.id(), from));
-                } else if let Some(parent) = self.flood_parent {
-                    ctx.send(parent, alarm);
-                }
-            }
+            self.raise_alarm(ctx, from);
             return;
         }
         self.audit_upstream(ctx, from, msg_id, &totals, participants, inputs);
@@ -2231,7 +2156,7 @@ impl Application for IcpdaNode {
                 self.handle_fsum_timer(ctx);
             }
             TIMER_FSUM_REPAIR => self.handle_fsum_repair_timer(ctx),
-            TIMER_ROSTER_REPEAT => self.handle_roster_repeat(ctx),
+            TIMER_ROSTER_REPEAT => self.on_repeat(ctx, Repeat::Roster),
             TIMER_RESIGN => self.handle_resign_timer(ctx),
             TIMER_REJOIN => {
                 self.handle_rejoin_timer(ctx);
@@ -2250,37 +2175,7 @@ impl Application for IcpdaNode {
                 obs_phase_start(ctx, PHASE_ASCENT_VERIFY);
                 self.handle_upstream_timer(ctx);
             }
-            TIMER_UPSTREAM_REPEAT => {
-                let resent = if let (Some(msg), Some(parent)) =
-                    (self.pending_upstream.as_ref(), self.flood_parent)
-                {
-                    ctx.metrics().bump("icpda_rel_timeout");
-                    ctx.send_shared(parent, msg);
-                    ctx.metrics().bump("icpda_rel_retransmit");
-                    true
-                } else {
-                    false
-                };
-                let mut next = None;
-                if resent {
-                    let rel = self.config.reliability;
-                    let s = self.config.schedule;
-                    next = self.upstream_retry.next_delay(
-                        &rel,
-                        s.upstream_repeat_after,
-                        s.upstream_repeat_jitter,
-                        ctx.rng(),
-                    );
-                }
-                if let Some(repeat) = next {
-                    ctx.set_timer(repeat, TIMER_UPSTREAM_REPEAT);
-                } else {
-                    if resent {
-                        ctx.metrics().bump("icpda_rel_exhausted");
-                    }
-                    obs_phase_end(ctx, PHASE_ASCENT_VERIFY);
-                }
-            }
+            TIMER_UPSTREAM_REPEAT => self.on_repeat(ctx, Repeat::Upstream),
             TIMER_DECISION => {
                 // The base station's verification window closes with the
                 // round's verdict.
@@ -2290,10 +2185,10 @@ impl Application for IcpdaNode {
             TIMER_HEAD_CHECK => self.handle_head_check(ctx),
             TIMER_PARENT_CHECK => self.handle_parent_check(ctx),
             TIMER_BEACON => self.handle_beacon_timer(ctx),
-            TIMER_ANNOUNCE_REPEAT => self.handle_announce_repeat(ctx),
-            TIMER_JOIN_REPEAT => self.handle_join_repeat(ctx),
-            TIMER_SHARES_REPEAT => self.handle_shares_repeat(ctx),
-            TIMER_FSUM_REPEAT => self.handle_fsum_repeat(ctx),
+            TIMER_ANNOUNCE_REPEAT => self.on_repeat(ctx, Repeat::Announce),
+            TIMER_JOIN_REPEAT => self.on_repeat(ctx, Repeat::Join),
+            TIMER_SHARES_REPEAT => self.on_repeat(ctx, Repeat::Shares),
+            TIMER_FSUM_REPEAT => self.on_repeat(ctx, Repeat::Fsum),
             _ => {}
         }
     }

@@ -5,22 +5,35 @@
 //! expensive), so every repeated transmission in the protocol is a
 //! *blind* retransmission: the sender re-sends on a timer and receivers
 //! deduplicate (rosters are idempotent, upstream reports carry
-//! `(sender, msg_id)`). Before this module those repeats were scattered
-//! one-shot literals; [`ReliabilityConfig`] centralises the budget
-//! (how many repeats) and the growth law (exponential backoff with
-//! uniform jitter), and [`RetryState`] tracks one message's progress
-//! through that budget.
+//! `(sender, msg_id)`). The node keeps one table of these repeats
+//! (roster and upstream report under every budget; head announce, join,
+//! share queue and `FSum` under `cluster_arq`), and every one of them
+//! runs on the policy here: [`ReliabilityConfig`] sets the budget (how
+//! many repeats, and for which messages), the growth law is fixed
+//! (2× exponential backoff capped at 2 s, plus uniform jitter), and
+//! [`RetryState`] tracks one message's progress through its budget.
 //!
 //! Four protocol counters expose the layer's activity (folded into the
-//! observability registry at the end of a run, see `icpda obs report`):
+//! observability registry at the end of a run, see `icpda obs report`).
+//! With blind repeats they count schedule steps, not failures:
 //!
-//! * `icpda_rel_timeout` — a repeat timer fired (no confirmation is
-//!   possible without ACKs, so every armed repeat that survives to its
-//!   deadline counts as a timeout).
-//! * `icpda_rel_retransmit` — a retransmission actually went on the air.
-//! * `icpda_rel_exhausted` — a retry budget ran to completion.
+//! * `icpda_rel_timeout` — a repeat timer fired while its message was
+//!   still wanted (the report still pending, the join still without a
+//!   roster, …). No acknowledgement is awaited, so this is every repeat
+//!   that fires with its guard holding, one per firing.
+//! * `icpda_rel_retransmit` — frames those firings queued: one per
+//!   firing, or the number of shares re-queued for a share re-send.
+//! * `icpda_rel_exhausted` — a firing found its budget spent and did not
+//!   re-arm. Every blind schedule that runs to its end lands here, so it
+//!   counts normal completion as well as loss.
 //! * `icpda_rel_duplicate` — a receiver suppressed a duplicate delivery
 //!   (retransmission or channel-level duplication).
+//!
+//! Under the paper budget (one retry, no `cluster_arq`) only the roster
+//! and upstream repeats run, and each fires once, re-sends one frame and
+//! finds its budget spent. The three counters then count the same
+//! firings: `icpda run --nodes 400 --seed 7` prints "184 timeouts, 184
+//! retransmits, 184 budgets exhausted".
 //!
 //! Determinism: the only RNG use is the per-retry jitter draw, taken
 //! from the node's own deterministic stream, and the default
@@ -30,19 +43,24 @@
 use rand::Rng;
 use wsn_sim::SimDuration;
 
-/// Retry policy for blind retransmissions.
+/// Multiplier applied to the deterministic delay per retry.
+const BACKOFF: u64 = 2;
+
+/// Cap on the deterministic part of the delay — keeps late retries
+/// inside the phase window that scheduled them.
+const MAX_DELAY: SimDuration = SimDuration::from_secs(2);
+
+/// Retry budget for blind retransmissions.
 ///
 /// The delay before retry `k` (zero-based) is
-/// `base * backoff^k + U(0, jitter)`, with the deterministic part capped
-/// at [`ReliabilityConfig::max_delay`]. `base` and `jitter` are supplied
-/// per call site (rosters and upstream reports use different timings,
-/// see [`crate::PhaseSchedule`]); the budget and growth law live here.
+/// `base * 2^k + U(0, jitter)`, with the deterministic part capped at
+/// 2 s. `base` and `jitter` are supplied per repeated message (rosters
+/// and upstream reports use different timings, see
+/// [`crate::PhaseSchedule`]); the budget lives here.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ReliabilityConfig {
-    /// Whether the ARQ layer is active at all. With `arq = false` no
-    /// repeat timers are armed: every message is sent exactly once.
-    pub arq: bool,
-    /// Retransmissions allowed per message (on top of the first send).
+    /// Retransmissions allowed per message (on top of the first send);
+    /// 0 turns the layer off, so every message is sent exactly once.
     pub max_retries: u32,
     /// Extends the retry budgets to the cluster-formation and share
     /// phases (`HeadAnnounce`, `Join`, the share queue, `FSum`). Off in
@@ -52,11 +70,6 @@ pub struct ReliabilityConfig {
     /// would otherwise sever whole clusters before the upstream ARQ gets
     /// anything to protect.
     pub cluster_arq: bool,
-    /// Multiplier applied to the deterministic delay per retry.
-    pub backoff: u32,
-    /// Cap on the deterministic part of the delay — keeps late retries
-    /// inside the phase window that scheduled them.
-    pub max_delay: SimDuration,
 }
 
 impl ReliabilityConfig {
@@ -66,11 +79,8 @@ impl ReliabilityConfig {
     #[must_use]
     pub fn paper_default() -> Self {
         ReliabilityConfig {
-            arq: true,
             max_retries: 1,
             cluster_arq: false,
-            backoff: 2,
-            max_delay: SimDuration::from_secs(2),
         }
     }
 
@@ -78,11 +88,8 @@ impl ReliabilityConfig {
     #[must_use]
     pub fn off() -> Self {
         ReliabilityConfig {
-            arq: false,
             max_retries: 0,
             cluster_arq: false,
-            backoff: 2,
-            max_delay: SimDuration::from_secs(2),
         }
     }
 
@@ -91,22 +98,18 @@ impl ReliabilityConfig {
     #[must_use]
     pub fn aggressive() -> Self {
         ReliabilityConfig {
-            arq: true,
             max_retries: 3,
             cluster_arq: true,
-            backoff: 2,
-            max_delay: SimDuration::from_secs(2),
         }
     }
+}
 
-    /// The deterministic part of retry `attempt`'s delay:
-    /// `base * backoff^attempt`, saturating, capped at `max_delay`.
-    #[must_use]
-    pub fn backoff_delay(&self, attempt: u32, base: SimDuration) -> SimDuration {
-        let factor = u64::from(self.backoff).saturating_pow(attempt);
-        let nanos = base.as_nanos().saturating_mul(factor);
-        SimDuration::from_nanos(nanos.min(self.max_delay.as_nanos()))
-    }
+/// The deterministic part of retry `attempt`'s delay:
+/// `base * 2^attempt`, saturating, capped at 2 s.
+fn backoff_delay(attempt: u32, base: SimDuration) -> SimDuration {
+    let factor = BACKOFF.saturating_pow(attempt);
+    let nanos = base.as_nanos().saturating_mul(factor);
+    SimDuration::from_nanos(nanos.min(MAX_DELAY.as_nanos()))
 }
 
 /// One message's progress through a retry budget.
@@ -136,7 +139,7 @@ impl RetryState {
 
     /// Consumes one retry: returns the jittered backoff delay before the
     /// next retransmission, or `None` when the budget is exhausted (or
-    /// ARQ is off). The jitter is one `gen_range` draw over
+    /// empty, as with ARQ off). The jitter is one `gen_range` draw over
     /// `[0, jitter)` nanoseconds — the same single draw per repeat the
     /// pre-refactor literals made, preserving RNG-stream identity.
     pub fn next_delay<R: Rng + ?Sized>(
@@ -146,10 +149,10 @@ impl RetryState {
         jitter: SimDuration,
         rng: &mut R,
     ) -> Option<SimDuration> {
-        if !config.arq || self.attempt >= config.max_retries {
+        if self.attempt >= config.max_retries {
             return None;
         }
-        let fixed = config.backoff_delay(self.attempt, base);
+        let fixed = backoff_delay(self.attempt, base);
         self.attempt += 1;
         let jitter = SimDuration::from_nanos(rng.gen_range(0..jitter.as_nanos().max(1)));
         Some(fixed + jitter)
@@ -213,21 +216,14 @@ mod tests {
 
     #[test]
     fn backoff_grows_exponentially_until_the_cap() {
-        let cfg = ReliabilityConfig {
-            arq: true,
-            max_retries: 10,
-            cluster_arq: false,
-            backoff: 2,
-            max_delay: SimDuration::from_millis(800),
-        };
-        let base = SimDuration::from_millis(100);
-        assert_eq!(cfg.backoff_delay(0, base), SimDuration::from_millis(100));
-        assert_eq!(cfg.backoff_delay(1, base), SimDuration::from_millis(200));
-        assert_eq!(cfg.backoff_delay(2, base), SimDuration::from_millis(400));
-        assert_eq!(cfg.backoff_delay(3, base), SimDuration::from_millis(800));
-        // Capped from here on.
-        assert_eq!(cfg.backoff_delay(4, base), SimDuration::from_millis(800));
-        assert_eq!(cfg.backoff_delay(63, base), SimDuration::from_millis(800));
+        let base = SimDuration::from_millis(250);
+        assert_eq!(backoff_delay(0, base), SimDuration::from_millis(250));
+        assert_eq!(backoff_delay(1, base), SimDuration::from_millis(500));
+        assert_eq!(backoff_delay(2, base), SimDuration::from_millis(1000));
+        assert_eq!(backoff_delay(3, base), SimDuration::from_millis(2000));
+        // Capped at 2 s from here on.
+        assert_eq!(backoff_delay(4, base), SimDuration::from_secs(2));
+        assert_eq!(backoff_delay(63, base), SimDuration::from_secs(2));
     }
 
     #[test]

@@ -133,7 +133,8 @@ pub fn assemble(shares: &[ShareVector]) -> ShareVector {
 }
 
 /// Recovers the cluster-sum vector from the `m` broadcast assemblies:
-/// Lagrange interpolation of the sum polynomial at zero, per component.
+/// Lagrange interpolation of the sum polynomial at zero, per component
+/// ([`recover_sum_at`] over every position `0..m`).
 ///
 /// `assemblies[j]` must be the `F_j` of roster position `j` (seed
 /// `x_j = j + 1`), all with the same component count.
@@ -142,38 +143,7 @@ pub fn assemble(shares: &[ShareVector]) -> ShareVector {
 /// counts disagree (a malformed cluster round).
 #[must_use]
 pub fn recover_sum(assemblies: &[ShareVector]) -> Option<ShareVector> {
-    let m = assemblies.len();
-    let components = assemblies.first()?.len();
-    if assemblies.iter().any(|a| a.len() != components) {
-        return None;
-    }
-    // Lagrange basis at zero: L_j(0) = Π_{k≠j} x_k / (x_k − x_j).
-    // The denominators are inverted together (Montgomery's batch trick):
-    // one Fermat inversion for the whole basis instead of one per point.
-    let xs: Vec<Fp> = (0..m).map(seed_for).collect();
-    let mut nums = Vec::with_capacity(m);
-    let mut dens = Vec::with_capacity(m);
-    for j in 0..m {
-        let mut num = Fp::ONE;
-        let mut den = Fp::ONE;
-        for k in 0..m {
-            if k != j {
-                num *= xs[k];
-                den *= xs[k] - xs[j];
-            }
-        }
-        nums.push(num);
-        dens.push(den);
-    }
-    Fp::batch_inverse(&mut dens)?;
-    let weights: Vec<Fp> = nums.iter().zip(&dens).map(|(&n, &d)| n * d).collect();
-    let mut sum = vec![Fp::ZERO; components];
-    for (j, assembly) in assemblies.iter().enumerate() {
-        for (acc, &f) in sum.iter_mut().zip(assembly) {
-            *acc += f * weights[j];
-        }
-    }
-    Some(sum)
+    recover_sum_at(&assemblies.iter().cloned().enumerate().collect::<Vec<_>>())
 }
 
 /// Recovers the cluster-sum vector from a *subset* of the broadcast
@@ -198,6 +168,9 @@ pub fn recover_sum_at(points: &[(usize, ShareVector)]) -> Option<ShareVector> {
             return None;
         }
     }
+    // Lagrange basis at zero: L_j(0) = Π_{k≠j} x_k / (x_k − x_j).
+    // The denominators are inverted together (Montgomery's batch trick):
+    // one Fermat inversion for the whole basis instead of one per point.
     let mut nums = Vec::with_capacity(xs.len());
     let mut dens = Vec::with_capacity(xs.len());
     for (j, &xj) in xs.iter().enumerate() {

@@ -143,7 +143,10 @@ const HOT_PATHS: [(&str, &[&str]); 5] = [
 const MSG_DEF: &str = "crates/core/src/msg.rs";
 
 /// Where config structs are defined (config-hygiene rule input).
-const CONFIG_DEF: &str = "crates/core/src/config.rs";
+const CONFIG_DEFS: [&str; 2] = [
+    "crates/core/src/config.rs",
+    "crates/core/src/reliability.rs",
+];
 
 /// Stable rule identifiers, printed with every finding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -1039,10 +1042,11 @@ pub fn lint_workspace(root: &Path, config: &LintConfig) -> Result<LintReport, St
     } else {
         return Err(format!("message definitions not found at {MSG_DEF}"));
     }
-    if let Some(def) = by_rel(CONFIG_DEF) {
-        raw.extend(check_config_hygiene(def, &corpus));
-    } else {
-        return Err(format!("config definitions not found at {CONFIG_DEF}"));
+    for rel in CONFIG_DEFS {
+        match by_rel(rel) {
+            Some(def) => raw.extend(check_config_hygiene(def, &corpus)),
+            None => return Err(format!("config definitions not found at {rel}")),
+        }
     }
     raw.extend(check_error_variants(&corpus));
     raw.extend(dataflow_diagnostics(&corpus, &config.secrets));
