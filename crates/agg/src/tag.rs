@@ -228,7 +228,6 @@ impl Application for TagNode {
                 ctx.broadcast(TagMsg::Hello { level: my_level });
                 let report_at = self.config.report_time_dispersed(my_level, ctx.rng());
                 ctx.set_timer(report_at, TIMER_REPORT);
-                ctx.metrics().bump("tag_joined");
             }
             TagMsg::Report {
                 totals,
@@ -236,7 +235,6 @@ impl Application for TagNode {
             } => {
                 if self.reported && !self.is_base_station {
                     self.late_reports += 1;
-                    ctx.metrics().bump("tag_late_report");
                     return;
                 }
                 self.last_report_at = Some(ctx.now());

@@ -266,7 +266,7 @@ pub fn capture_stream(opts: ScaleOptions, dir: &std::path::Path) -> Result<(), S
     let n = *sizes.last().expect("non-empty size axis");
     let seed = 0u64;
     let run_seed = seed.wrapping_mul(31).wrapping_add(7);
-    let (dep, build_ns) = wsn_sim::profile::time_host(|| scaled_deployment(n, seed));
+    let dep = scaled_deployment(n, seed);
     let depth = depth_for(&dep);
     let mut sc = SimConfig::paper_default();
     sc.obs_level = ObsLevel::Full;
@@ -297,7 +297,6 @@ pub fn capture_stream(opts: ScaleOptions, dir: &std::path::Path) -> Result<(), S
     )
     .with_sim_config(sc)
     .with_obs_stream(stream, manifest)
-    .with_profile_section("setup.neighbor_build", 1, build_ns)
     .run();
     let stats = out.stream.as_ref().expect("stream outcome present");
     eprintln!(

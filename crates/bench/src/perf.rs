@@ -14,8 +14,8 @@
 //! nothing in this module feeds simulated state, so benchmark runs
 //! cannot perturb any experiment artefact.
 
-use crate::json::Json;
 use crate::Table;
+use icpda_obs::json::Json;
 use std::time::Instant;
 use wsn_sim::prelude::*;
 use wsn_sim::time::{SimDuration, SimTime};
@@ -394,7 +394,7 @@ mod tests {
                 throughput: Throughput::EventsPerSec(5000),
             }],
         };
-        let doc = crate::json::parse(&report.to_json().pretty()).expect("report is valid JSON");
+        let doc = icpda_obs::json::parse(&report.to_json().pretty()).expect("report is valid JSON");
         let rows = doc
             .get("results")
             .and_then(Json::as_arr)

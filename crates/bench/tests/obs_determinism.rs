@@ -3,17 +3,17 @@
 //! byte-identical regardless of the worker-thread override, because
 //! the simulation is single-threaded per run and all records are
 //! emitted in deterministic order. Only
-//! `manifest.json` records the thread count. The buffered in-memory
-//! exporter and the bounded-memory streaming exporter share one
+//! `manifest.json` records the thread count. The in-memory renderers
+//! (the references) and the bounded-memory streaming exporter share one
 //! renderer per record kind, so their outputs must also agree byte for
-//! byte — that identity is asserted here and gated again in CI at
-//! N=10k (`obs-stream-smoke`).
+//! byte — that identity is asserted here. CI's `obs-stream-smoke` gates
+//! the thread-count identity again at N=2000.
 
 use agg::AggFunction;
 use icpda::{IcpdaConfig, IcpdaRun};
-use icpda_bench::json::{self, Json};
 use icpda_bench::{paper_deployment, parallel};
 use icpda_obs::export::Manifest;
+use icpda_obs::json::{self, Json};
 use icpda_obs::stream::ObsStream;
 use icpda_obs::ObsLevel;
 use std::path::Path;

@@ -122,12 +122,9 @@ fn readings_for(function: AggFunction, n: usize, seed: u64) -> Vec<u64> {
     }
 }
 
-/// Builds the export manifest shared by the buffered (`--obs-out`) and
-/// streaming (`--obs-stream`) capture paths, so both directories carry
-/// the same provenance record.
+/// Builds the provenance record of an `icpda run --obs-stream` capture.
 fn run_manifest(
     args: &Args,
-    tool: &str,
     n: usize,
     seed: u64,
     config: &IcpdaConfig,
@@ -141,7 +138,7 @@ fn run_manifest(
         )
     };
     icpda_obs::export::Manifest {
-        tool: tool.to_string(),
+        tool: "icpda run".to_string(),
         seed,
         threads: icpda_bench::parallel::effective_threads(),
         git_rev: icpda_bench::perf::git_rev(),
@@ -222,7 +219,6 @@ pub fn run(args: &Args) -> Result<(), ParseArgsError> {
             "churn",
             "adversary",
             "adversary-mode",
-            "obs-out",
             "obs-stream",
         ],
     )?;
@@ -241,21 +237,12 @@ pub fn run(args: &Args) -> Result<(), ParseArgsError> {
     config.rounds = args.get_or("rounds", 1)?;
     config.reliability = parse_reliability(args)?;
     let (mut sim, channel) = parse_sim_config(args)?;
-    let obs_out = args.get("obs-out").map(std::path::PathBuf::from);
     let obs_stream = args.get("obs-stream").map(std::path::PathBuf::from);
-    if obs_out.is_some() && obs_stream.is_some() {
-        return Err(ParseArgsError(
-            "--obs-out (buffered) and --obs-stream (bounded-memory) are mutually exclusive".into(),
-        ));
-    }
-    if obs_out.is_some() {
-        sim.obs_level = ObsLevel::Full;
-    }
     if obs_stream.is_some() {
-        // Streaming captures everything the buffered path can, plus the
-        // full event trace (streamed, so unbounded in length but not in
-        // memory), the engine self-profile, and a flight-recorder window
-        // for post-mortems on degraded rounds.
+        // A capture records spans and metrics, the full event trace
+        // (streamed, so unbounded in length but not in memory), the
+        // engine self-profile, and a flight-recorder window for
+        // post-mortems on degraded rounds.
         sim.obs_level = ObsLevel::Full;
         sim.trace_level = wsn_sim::TraceLevel::Full;
         sim.profile = true;
@@ -291,9 +278,7 @@ pub fn run(args: &Args) -> Result<(), ParseArgsError> {
         AdversaryPlan::none()
     };
     let readings = readings_for(config.function, n, seed);
-    // Deployment construction includes the neighbor-grid build; its wall
-    // time is attributed to the engine profile when one is captured.
-    let (dep, build_ns) = wsn_sim::profile::time_host(|| deployment(n, seed));
+    let dep = deployment(n, seed);
     println!(
         "deploying {n} nodes (degree {:.1}), {} query...",
         dep.average_degree(),
@@ -329,10 +314,8 @@ pub fn run(args: &Args) -> Result<(), ParseArgsError> {
     if let Some(dir) = &obs_stream {
         let stream = icpda_obs::stream::ObsStream::create(dir)
             .map_err(|e| ParseArgsError(format!("--obs-stream {}: {e}", dir.display())))?;
-        let manifest = run_manifest(args, "icpda run", n, seed, &config, churn, adversary);
-        session = session
-            .with_obs_stream(stream, manifest)
-            .with_profile_section("setup.neighbor_build", 1, build_ns);
+        let manifest = run_manifest(args, n, seed, &config, churn, adversary);
+        session = session.with_obs_stream(stream, manifest);
     }
     let out = session.run();
     println!("accepted      : {}", out.accepted);
@@ -418,16 +401,6 @@ pub fn run(args: &Args) -> Result<(), ParseArgsError> {
             println!("  {i}: value {:.1} accepted {}", d.value, d.accepted);
         }
     }
-    if let Some(dir) = &obs_out {
-        let manifest = run_manifest(args, "icpda run", n, seed, &config, churn, adversary);
-        icpda_obs::export::write_dir(dir, &manifest, &out.obs)
-            .map_err(|e| ParseArgsError(format!("--obs-out {}: {e}", dir.display())))?;
-        println!(
-            "obs           : {} spans -> {}",
-            out.obs.spans().len(),
-            dir.display()
-        );
-    }
     if let Some(stream) = &out.stream {
         report_stream(stream)?;
     }
@@ -488,52 +461,25 @@ fn obs_profile(args: &Args) -> Result<(), ParseArgsError> {
 
 /// `icpda sweep`.
 pub fn sweep(args: &Args) -> Result<(), ParseArgsError> {
-    check_flags(
-        args,
-        &[
-            "seeds",
-            "function",
-            "pc",
-            "integrity",
-            "threads",
-            "obs-level",
-            "obs-stream",
-        ],
-    )?;
+    check_flags(args, &["seeds", "function", "pc", "integrity", "threads"])?;
     apply_threads(args)?;
     let seeds: u64 = args.get_or("seeds", 5)?;
     let config = parse_config(args)?;
-    let obs_level = match args.get("obs-level") {
-        None => ObsLevel::Off,
-        Some(s) => ObsLevel::parse(s).map_err(|e| ParseArgsError(format!("--obs-level: {e}")))?,
-    };
-    let obs_stream = args.get("obs-stream").map(std::path::PathBuf::from);
-    if obs_stream.is_some() && obs_level == ObsLevel::Off {
-        return Err(ParseArgsError(
-            "--obs-stream needs --obs-level phases|full to have anything to capture".into(),
-        ));
-    }
-    let mut sim = SimConfig::paper_default();
-    sim.obs_level = obs_level;
     let sizes = [200usize, 300, 400, 500, 600];
     // Independent (n, seed) trials fan out across workers; results come
     // back in job order, so the table is identical to the serial loop.
     let per_size = icpda_bench::parallel::par_sweep("cli sweep", &sizes, seeds, |&n, seed| {
         let readings = readings_for(config.function, n, seed);
-        let out = IcpdaRun::new(deployment(n, seed), config, readings, seed)
-            .with_sim_config(sim)
-            .run();
+        let out = IcpdaRun::new(deployment(n, seed), config, readings, seed).run();
         (
             out.accuracy(),
             out.participation(),
             out.total_bytes as f64,
             out.energy_mj,
-            out.obs.spans_total(),
         )
     });
     println!("nodes | accuracy | participation | bytes    | mJ");
     println!("------+----------+---------------+----------+--------");
-    let mut spans_recorded: u64 = 0;
     for (n, trials) in sizes.iter().zip(per_size) {
         let k = seeds as f64;
         println!(
@@ -543,33 +489,6 @@ pub fn sweep(args: &Args) -> Result<(), ParseArgsError> {
             trials.iter().map(|t| t.2).sum::<f64>() / k,
             trials.iter().map(|t| t.3).sum::<f64>() / k,
         );
-        spans_recorded += trials.iter().map(|t| t.4).sum::<u64>();
-    }
-    if obs_level > ObsLevel::Off {
-        println!("obs           : {spans_recorded} spans recorded across trials");
-    }
-    // One representative instrumented capture (largest size, seed 0)
-    // streamed to disk; the sweep table above stays unchanged by it.
-    if let Some(dir) = &obs_stream {
-        let n = *sizes.last().expect("non-empty sizes");
-        let seed = 0u64;
-        let mut stream_sim = sim;
-        stream_sim.trace_level = wsn_sim::TraceLevel::Full;
-        stream_sim.profile = true;
-        stream_sim.flight_rounds = 4;
-        let stream = icpda_obs::stream::ObsStream::create(dir)
-            .map_err(|e| ParseArgsError(format!("--obs-stream {}: {e}", dir.display())))?;
-        let manifest = run_manifest(args, "icpda sweep", n, seed, &config, 0.0, 0.0);
-        let readings = readings_for(config.function, n, seed);
-        let (dep, build_ns) = wsn_sim::profile::time_host(|| deployment(n, seed));
-        let out = IcpdaRun::new(dep, config, readings, seed)
-            .with_sim_config(stream_sim)
-            .with_obs_stream(stream, manifest)
-            .with_profile_section("setup.neighbor_build", 1, build_ns)
-            .run();
-        if let Some(stream) = &out.stream {
-            report_stream(stream)?;
-        }
     }
     for timing in icpda_bench::parallel::drain_timings() {
         eprintln!("{}", timing.report());
@@ -846,54 +765,33 @@ mod tests {
     }
 
     #[test]
-    fn obs_out_and_obs_stream_are_mutually_exclusive() {
+    fn streamed_run_writes_every_artifact_and_renders_a_profile() {
+        let dir = std::env::temp_dir().join(format!("icpda_cli_stream_{}", std::process::id()));
+        let dir_arg = dir.to_str().unwrap();
         let a = args(&[
             "run",
             "--nodes",
-            "40",
-            "--obs-out",
-            "/tmp/a",
+            "60",
+            "--seed",
+            "3",
+            "--loss",
+            "0.05",
             "--obs-stream",
-            "/tmp/b",
+            dir_arg,
         ]);
-        let err = run(&a).unwrap_err();
-        assert!(err.0.contains("mutually exclusive"), "{}", err.0);
-    }
-
-    #[test]
-    fn streamed_run_matches_buffered_run_and_renders_a_profile() {
-        let base = std::env::temp_dir().join(format!("icpda_cli_stream_{}", std::process::id()));
-        let buffered = base.join("buffered");
-        let streamed = base.join("streamed");
-        let common = ["--nodes", "60", "--seed", "3", "--loss", "0.05"];
-        let mut argv = vec!["run"];
-        argv.extend_from_slice(&common);
-        argv.extend_from_slice(&["--obs-out", buffered.to_str().unwrap()]);
-        run(&args(&argv)).expect("buffered run succeeds");
-        let mut argv = vec!["run"];
-        argv.extend_from_slice(&common);
-        argv.extend_from_slice(&["--obs-stream", streamed.to_str().unwrap()]);
-        run(&args(&argv)).expect("streamed run succeeds");
-        // The streaming exporter must be byte-identical to the buffered
-        // one on the shared artifacts (manifest.json carries environment
-        // facts and is compared structurally elsewhere).
-        for name in ["spans.jsonl", "metrics.jsonl"] {
-            let a = std::fs::read(buffered.join(name)).expect("buffered artifact");
-            let b = std::fs::read(streamed.join(name)).expect("streamed artifact");
-            assert_eq!(a, b, "{name} differs between buffered and streamed capture");
+        run(&a).expect("streamed run succeeds");
+        for name in [
+            "manifest.json",
+            "spans.jsonl",
+            "metrics.jsonl",
+            "trace.jsonl",
+            "profile.jsonl",
+        ] {
+            assert!(dir.join(name).is_file(), "{name} written");
         }
-        // Streaming-only artifacts exist and the profile renders.
-        assert!(
-            streamed.join("trace.jsonl").is_file(),
-            "trace.jsonl written"
-        );
-        assert!(
-            streamed.join("profile.jsonl").is_file(),
-            "profile.jsonl written"
-        );
-        let a = args(&["obs", "profile", "--dir", streamed.to_str().unwrap()]);
-        obs(&a).expect("obs profile renders");
-        std::fs::remove_dir_all(&base).ok();
+        obs(&args(&["obs", "report", "--dir", dir_arg])).expect("obs report renders");
+        obs(&args(&["obs", "profile", "--dir", dir_arg])).expect("obs profile renders");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -3,9 +3,8 @@
 //! ```text
 //! icpda run     --nodes 400 --seed 7 --function count [--pc 0.25]
 //!               [--integrity on|off] [--loss 0.05] [--edge-loss 0.3]
-//!               [--churn 0.1] [--obs-out DIR | --obs-stream DIR]
+//!               [--churn 0.1] [--obs-stream DIR]
 //! icpda sweep   --seeds 5 --function count [--threads 8]
-//!               [--obs-level off|phases|full] [--obs-stream DIR]
 //! icpda attack  --nodes 400 --seed 7 --mode naive|forge|phantom
 //!               --delta 1000 [--attackers 1] [--session] [--seeds 20]
 //! icpda privacy --nodes 600 --seed 1 --px 0.05 [--adversaries 30]
@@ -34,15 +33,11 @@ COMMANDS:
               --loss P (0)     --edge-loss E (0)   --rounds R (1)
               --churn P (0: each node crashes mid-run with prob. P;
               enables crash recovery)
-              --obs-out DIR (capture manifest.json, spans.jsonl and
-              metrics.jsonl for the run; see `icpda obs report`)
-              --obs-stream DIR (bounded-memory streaming capture: spans,
-              full event trace, engine profile and flight-recorder dump;
-              see `icpda obs profile`)
+              --obs-stream DIR (bounded-memory capture: manifest, spans,
+              metrics, full event trace, engine profile and
+              flight-recorder dump; see `icpda obs report|profile`)
     sweep     accuracy/overhead across the paper's size sweep
               --seeds K (5)    --function ... (count)  --threads T (cores)
-              --obs-level off|phases|full (off: instrument the trials)
-              --obs-stream DIR (stream one representative capture)
     attack    compromise cluster heads and watch the integrity layer
               --nodes N (400)  --seed S (7)  --mode naive|forge|phantom (naive)
               --delta D (1000) --attackers K (1)  --session true (off)

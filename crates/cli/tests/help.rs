@@ -36,14 +36,22 @@ fn a_flag_without_a_value_still_fails() {
 
 #[test]
 fn an_unknown_flag_fails_instead_of_running() {
-    let out = Command::new(env!("CARGO_BIN_EXE_icpda"))
-        .args(["run", "--shards", "4"])
-        .output()
-        .expect("icpda runs");
-    assert!(!out.status.success(), "{out:?}");
-    assert!(
-        String::from_utf8_lossy(&out.stderr).contains("unknown flags"),
-        "{out:?}"
-    );
-    assert!(out.stdout.is_empty(), "{out:?}");
+    // Removed flags must fail before anything runs.
+    for args in [
+        &["run", "--shards", "4"][..],
+        &["run", "--obs-out", "x"],
+        &["sweep", "--obs-level", "full"],
+        &["sweep", "--obs-stream", "x"],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_icpda"))
+            .args(args)
+            .output()
+            .expect("icpda runs");
+        assert!(!out.status.success(), "{args:?}: {out:?}");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("unknown flags"),
+            "{args:?}: {out:?}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?}: {out:?}");
+    }
 }

@@ -121,7 +121,7 @@ impl Repeat {
 }
 
 // Protocol-phase span names (see DESIGN §12). Spans are recorded per
-// node at `ObsLevel::Phases` and bracket the protocol's observable
+// node at `ObsLevel::Full` and bracket the protocol's observable
 // phases; with observability off every hook is a single branch.
 const PHASE_QUERY_FLOOD: &str = "phase.query_flood";
 const PHASE_CLUSTER_FORMATION: &str = "phase.cluster_formation";
@@ -134,7 +134,7 @@ const PHASE_CRASH_RECOVERY: &str = "phase.crash_recovery";
 /// already-open span is a no-op (first start wins), so repeat paths and
 /// multi-round timers need no extra state here.
 fn obs_phase_start(ctx: &mut Context<'_, IcpdaMsg>, name: &'static str) {
-    if ctx.obs().wants(ObsLevel::Phases) {
+    if ctx.obs().enabled() {
         let snap = ctx.obs_snapshot();
         let node = ctx.id().as_u32();
         let now = ctx.now().as_nanos();
@@ -145,7 +145,7 @@ fn obs_phase_start(ctx: &mut Context<'_, IcpdaMsg>, name: &'static str) {
 /// Closes the protocol-phase span `name` for this node (no-op when the
 /// span is not open, so shared exit paths may close unconditionally).
 fn obs_phase_end(ctx: &mut Context<'_, IcpdaMsg>, name: &'static str) {
-    if ctx.obs().wants(ObsLevel::Phases) {
+    if ctx.obs().enabled() {
         let snap = ctx.obs_snapshot();
         let node = ctx.id().as_u32();
         let now = ctx.now().as_nanos();
@@ -493,9 +493,9 @@ impl IcpdaNode {
                     sealed,
                 },
             );
-            ctx.metrics().bump("icpda_share_relayed");
+            ctx.obs().inc("icpda_share_relayed");
         }
-        ctx.metrics().bump("icpda_share_sent");
+        ctx.obs().inc("icpda_share_sent");
     }
 
     /// Arms `kind`'s first blind repeat on a fresh retry budget. Returns
@@ -529,11 +529,11 @@ impl IcpdaNode {
     fn on_repeat(&mut self, ctx: &mut Context<'_, IcpdaMsg>, kind: Repeat) {
         let rearmed = match self.resend(ctx, kind) {
             Some(frames) => {
-                ctx.metrics().bump("icpda_rel_timeout");
-                ctx.metrics().add("icpda_rel_retransmit", frames);
+                ctx.obs().inc("icpda_rel_timeout");
+                ctx.obs().add("icpda_rel_retransmit", frames);
                 let rearmed = self.rearm_repeat(ctx, kind);
                 if !rearmed {
-                    ctx.metrics().bump("icpda_rel_exhausted");
+                    ctx.obs().inc("icpda_rel_exhausted");
                 }
                 rearmed
             }
@@ -673,7 +673,7 @@ impl IcpdaNode {
                 ctx.rng().gen_range(0..s.roster_after.as_nanos().max(2) / 3),
             );
             ctx.set_timer(s.roster_after + jitter, TIMER_ROSTER);
-            ctx.metrics().bump("icpda_heads");
+            ctx.obs().inc("icpda_heads");
             if self.config.crash_recovery {
                 // Two liveness beacons before the roster deadline: members
                 // that hear neither (nor anything else from us) declare us
@@ -696,7 +696,7 @@ impl IcpdaNode {
     fn handle_join_timer(&mut self, ctx: &mut Context<'_, IcpdaMsg>) {
         if self.heads_heard.is_empty() {
             self.role = Role::Orphan;
-            ctx.metrics().bump("icpda_orphan_no_head");
+            ctx.obs().inc("icpda_orphan_no_head");
             obs_phase_end(ctx, PHASE_CLUSTER_FORMATION);
             return;
         }
@@ -733,7 +733,7 @@ impl IcpdaNode {
         }
         // Silent head: treat it like a resignation — re-join another
         // in-range head, or degrade to orphan (and later direct-report).
-        ctx.metrics().bump("icpda_head_dead_detected");
+        ctx.obs().inc("icpda_head_dead_detected");
         obs_phase_start(ctx, PHASE_CRASH_RECOVERY);
         self.resigned_heads.insert(head);
         self.schedule_rejoin(ctx);
@@ -753,7 +753,7 @@ impl IcpdaNode {
         self.has_resigned = true;
         self.joiners.clear();
         ctx.broadcast(IcpdaMsg::Resign { head: ctx.id() });
-        ctx.metrics().bump("icpda_head_resigned");
+        ctx.obs().inc("icpda_head_resigned");
         self.schedule_rejoin(ctx);
     }
 
@@ -779,14 +779,14 @@ impl IcpdaNode {
             .collect();
         if candidates.is_empty() {
             self.role = Role::Orphan;
-            ctx.metrics().bump("icpda_orphan_no_head");
+            ctx.obs().inc("icpda_orphan_no_head");
             return;
         }
         let head = candidates[ctx.rng().gen_range(0..candidates.len())];
         self.role = Role::Member(head);
         ctx.send(head, IcpdaMsg::Join { head });
         self.arm_repeat(ctx, Repeat::Join);
-        ctx.metrics().bump("icpda_rejoined");
+        ctx.obs().inc("icpda_rejoined");
         if self.config.crash_recovery {
             self.schedule_head_check(ctx);
         }
@@ -822,7 +822,7 @@ impl IcpdaNode {
             self.arm_repeat(ctx, Repeat::Roster);
             self.schedule_share_phases(ctx, stagger_ms);
         } else {
-            ctx.metrics().bump("icpda_cluster_too_small");
+            ctx.obs().inc("icpda_cluster_too_small");
         }
     }
 
@@ -880,13 +880,13 @@ impl IcpdaNode {
             return;
         }
         let Ok(roster) = Roster::from_wire(head, members) else {
-            ctx.metrics().bump("icpda_bad_roster");
+            ctx.obs().inc("icpda_bad_roster");
             return;
         };
         if !roster.contains(ctx.id()) {
             // Our join was lost or the cluster was full.
             self.role = Role::Orphan;
-            ctx.metrics().bump("icpda_orphan_join_lost");
+            ctx.obs().inc("icpda_orphan_join_lost");
             obs_phase_end(ctx, PHASE_CLUSTER_FORMATION);
             return;
         }
@@ -980,7 +980,7 @@ impl IcpdaNode {
                         sealed,
                     },
                 );
-                ctx.metrics().bump("icpda_raw_sent");
+                ctx.obs().inc("icpda_raw_sent");
             }
             return;
         }
@@ -1006,7 +1006,7 @@ impl IcpdaNode {
         // draw exactly what they would in a clean run.
         let garbage = self.behavior == Behavior::GarbageShares;
         if garbage {
-            ctx.metrics().bump("icpda_adv_garbage_shares");
+            ctx.obs().inc("icpda_adv_garbage_shares");
             ctx.trace_adversary(self.behavior.code());
         }
         // Keep own share locally.
@@ -1079,7 +1079,7 @@ impl IcpdaNode {
             Some(raw) if raw.len() == self.components() => {
                 self.raw_readings.insert(from, raw);
             }
-            _ => ctx.metrics().bump("icpda_raw_bad"),
+            _ => ctx.obs().inc("icpda_raw_bad"),
         }
     }
 
@@ -1097,8 +1097,7 @@ impl IcpdaNode {
             .filter(|m| !self.received_shares.contains_key(m))
             .collect();
         if !missing.is_empty() {
-            ctx.metrics()
-                .add("icpda_shares_missing", missing.len() as u64);
+            ctx.obs().add("icpda_shares_missing", missing.len() as u64);
             ctx.broadcast(IcpdaMsg::ShareNack {
                 cluster: roster.head(),
                 requester: ctx.id(),
@@ -1134,7 +1133,7 @@ impl IcpdaNode {
                 // A share the head once relayed can be replayed straight
                 // from the cache: one in-range frame, no origin round trip.
                 if let Some(sealed) = self.relay_cache.get(&(target, requester)) {
-                    ctx.metrics().bump("icpda_share_cache_replayed");
+                    ctx.obs().inc("icpda_share_cache_replayed");
                     ctx.send(
                         requester,
                         IcpdaMsg::Share {
@@ -1145,7 +1144,7 @@ impl IcpdaNode {
                     );
                     continue;
                 }
-                ctx.metrics().bump("icpda_nack_forwarded");
+                ctx.obs().inc("icpda_nack_forwarded");
                 ctx.send(
                     target,
                     IcpdaMsg::ShareNack {
@@ -1160,7 +1159,7 @@ impl IcpdaNode {
             return;
         }
         if let Some(share) = self.outgoing_shares.get(&requester).cloned() {
-            ctx.metrics().bump("icpda_share_resent");
+            ctx.obs().inc("icpda_share_resent");
             self.send_share(ctx, cluster, requester, &share);
         }
     }
@@ -1186,7 +1185,7 @@ impl IcpdaNode {
             Some(share) if share.len() == self.components() => {
                 self.received_shares.insert(origin, share);
             }
-            _ => ctx.metrics().bump("icpda_share_bad"),
+            _ => ctx.obs().inc("icpda_share_bad"),
         }
     }
 
@@ -1209,10 +1208,10 @@ impl IcpdaNode {
                 // already forwarded (ARQ re-sends carry fresh nonces, so
                 // they pass this check and are forwarded again).
                 if self.relay_cache.get(&(origin, to)) == Some(&sealed) {
-                    ctx.metrics().bump("icpda_rel_duplicate");
+                    ctx.obs().inc("icpda_rel_duplicate");
                     return;
                 }
-                ctx.metrics().bump("icpda_relay_forwarded");
+                ctx.obs().inc("icpda_relay_forwarded");
                 self.relay_cache.insert((origin, to), sealed.clone());
                 ctx.send(
                     to,
@@ -1273,7 +1272,7 @@ impl IcpdaNode {
             }
         }
         if missing != 0 {
-            ctx.metrics()
+            ctx.obs()
                 .add("icpda_fsums_missing", missing.count_ones().into());
             ctx.broadcast(IcpdaMsg::FsumNack {
                 cluster: roster.head(),
@@ -1303,7 +1302,7 @@ impl IcpdaNode {
             for pos in 0..roster.len() {
                 if missing & (1 << pos) != 0 {
                     if let Some((assembly, contributors)) = self.fsums.get(&pos).cloned() {
-                        ctx.metrics().bump("icpda_fsum_echoed");
+                        ctx.obs().inc("icpda_fsum_echoed");
                         ctx.send(
                             from,
                             IcpdaMsg::FsumEcho {
@@ -1324,7 +1323,7 @@ impl IcpdaNode {
             return;
         }
         if let Some((assembly, contributors)) = self.fsums.get(&my_pos).cloned() {
-            ctx.metrics().bump("icpda_fsum_resent");
+            ctx.obs().inc("icpda_fsum_resent");
             ctx.broadcast(IcpdaMsg::FSum {
                 cluster,
                 values: assembly.iter().map(|f| f.to_u64()).collect(),
@@ -1359,13 +1358,13 @@ impl IcpdaNode {
         match self.fsums.get(&position) {
             None => {
                 self.fsums.insert(position, (assembly, contributors));
-                ctx.metrics().bump("icpda_fsum_echo_used");
+                ctx.obs().inc("icpda_fsum_echo_used");
             }
             Some((existing, existing_mask)) => {
                 if *existing != assembly || *existing_mask != contributors {
                     // The direct broadcast is authoritative; a conflicting
                     // echo means someone is lying.
-                    ctx.metrics().bump("icpda_echo_conflict");
+                    ctx.obs().inc("icpda_echo_conflict");
                 }
             }
         }
@@ -1418,7 +1417,7 @@ impl IcpdaNode {
                 };
                 self.monitor.record_cluster(ctx.id(), aggregate.clone());
                 self.cluster_aggregate = Some(aggregate);
-                ctx.metrics().bump("icpda_head_solved");
+                ctx.obs().inc("icpda_head_solved");
             }
             return;
         }
@@ -1428,7 +1427,7 @@ impl IcpdaNode {
             return;
         }
         if self.fsums.len() != m {
-            ctx.metrics().bump(if is_head {
+            ctx.obs().inc(if is_head {
                 "icpda_head_failed_missing_fsum"
             } else {
                 "icpda_cluster_failed_missing_fsum"
@@ -1443,7 +1442,7 @@ impl IcpdaNode {
             None => 0,
         };
         if (1..m).any(|j| self.fsums.get(&j).is_none_or(|f| f.1 != mask)) {
-            ctx.metrics().bump(if is_head {
+            ctx.obs().inc(if is_head {
                 "icpda_head_failed_mask_mismatch"
             } else {
                 "icpda_cluster_failed_mask_mismatch"
@@ -1451,7 +1450,7 @@ impl IcpdaNode {
             return;
         }
         if mask == 0 {
-            ctx.metrics().bump("icpda_cluster_failed_empty");
+            ctx.obs().inc("icpda_cluster_failed_empty");
             return;
         }
         let points: Vec<(usize, ShareVector)> = self
@@ -1460,7 +1459,7 @@ impl IcpdaNode {
             .map(|(&p, (a, _))| (p, a.clone()))
             .collect();
         let Some(sum) = recover_sum_at(&points) else {
-            ctx.metrics().bump("icpda_cluster_failed_solve");
+            ctx.obs().inc("icpda_cluster_failed_solve");
             return;
         };
         let aggregate = CachedAggregate {
@@ -1472,7 +1471,7 @@ impl IcpdaNode {
         self.monitor
             .record_cluster(roster.head(), aggregate.clone());
         self.cluster_aggregate = Some(aggregate);
-        ctx.metrics().bump(if is_head {
+        ctx.obs().inc(if is_head {
             "icpda_head_solved"
         } else {
             "icpda_cluster_solved"
@@ -1503,7 +1502,7 @@ impl IcpdaNode {
             })
             .map(|(&mask, positions)| (mask, positions.clone()));
         let Some((mask, positions)) = best else {
-            ctx.metrics().bump(if is_head {
+            ctx.obs().inc(if is_head {
                 "icpda_head_failed_missing_fsum"
             } else {
                 "icpda_cluster_failed_missing_fsum"
@@ -1511,12 +1510,12 @@ impl IcpdaNode {
             return;
         };
         if mask == 0 {
-            ctx.metrics().bump("icpda_cluster_failed_empty");
+            ctx.obs().inc("icpda_cluster_failed_empty");
             return;
         }
         let threshold = self.config.min_cluster_size.min(m);
         if positions.len() < threshold {
-            ctx.metrics().bump(if is_head {
+            ctx.obs().inc(if is_head {
                 "icpda_head_failed_missing_fsum"
             } else {
                 "icpda_cluster_failed_missing_fsum"
@@ -1528,11 +1527,11 @@ impl IcpdaNode {
             .filter_map(|&p| self.fsums.get(&p).map(|(a, _)| (p, a.clone())))
             .collect();
         let Some(sum) = recover_sum_at(&points) else {
-            ctx.metrics().bump("icpda_cluster_failed_solve");
+            ctx.obs().inc("icpda_cluster_failed_solve");
             return;
         };
         if positions.len() < m {
-            ctx.metrics().bump("icpda_solved_degraded");
+            ctx.obs().inc("icpda_solved_degraded");
         }
         let aggregate = CachedAggregate {
             totals: sum,
@@ -1541,7 +1540,7 @@ impl IcpdaNode {
         self.monitor
             .record_cluster(roster.head(), aggregate.clone());
         self.cluster_aggregate = Some(aggregate);
-        ctx.metrics().bump(if is_head {
+        ctx.obs().inc(if is_head {
             "icpda_head_solved"
         } else {
             "icpda_cluster_solved"
@@ -1576,7 +1575,7 @@ impl IcpdaNode {
         if let (Behavior::Slander(target), Some(parent)) = (self.behavior, self.flood_parent) {
             // Byzantine hook (accusation): a false alarm every round, sent
             // whether or not the node has a report of its own.
-            ctx.metrics().bump("icpda_slander_sent");
+            ctx.obs().inc("icpda_slander_sent");
             ctx.trace_adversary(self.behavior.code());
             ctx.send(
                 parent,
@@ -1587,7 +1586,7 @@ impl IcpdaNode {
             );
         }
         if participants == 0 && inputs.is_empty() {
-            ctx.metrics().bump("icpda_upstream_skipped");
+            ctx.obs().inc("icpda_upstream_skipped");
             return;
         }
         if self.config.integrity == IntegrityMode::Off {
@@ -1597,7 +1596,7 @@ impl IcpdaNode {
             // Byzantine hook (aggregation): applied after every honest
             // step, so the polluted report is exactly what goes on air.
             pollution.apply(&mut totals, &mut participants, &mut inputs);
-            ctx.metrics().bump("icpda_adv_polluted");
+            ctx.obs().inc("icpda_adv_polluted");
             ctx.trace_adversary(self.behavior.code());
         }
         let Some(parent) = self.flood_parent else {
@@ -1630,7 +1629,7 @@ impl IcpdaNode {
                 );
             }
         }
-        ctx.metrics().bump("icpda_upstream_sent");
+        ctx.obs().inc("icpda_upstream_sent");
     }
 
     /// Crash-recovery additions to this node's own upstream report: a
@@ -1661,7 +1660,7 @@ impl IcpdaNode {
             let min_present = self.fsums.keys().copied().find(|p| Some(*p) != head_pos);
             let my_pos = roster.position(me);
             if head_silent && my_pos.is_some() && min_present == my_pos {
-                ctx.metrics().bump("icpda_takeover_report");
+                ctx.obs().inc("icpda_takeover_report");
                 for (t, &c) in totals.iter_mut().zip(&agg.totals) {
                     *t += c;
                 }
@@ -1680,7 +1679,7 @@ impl IcpdaNode {
             && self.level.is_some()
             && !self.excluded
         {
-            ctx.metrics().bump("icpda_direct_report");
+            ctx.obs().inc("icpda_direct_report");
             let contribution = self.config.function.encode(self.reading);
             for (t, &c) in totals.iter_mut().zip(&contribution) {
                 *t += Fp::new(c);
@@ -1719,11 +1718,11 @@ impl IcpdaNode {
             .map(|(&n, _)| n);
         match alternate {
             Some(alt) => {
-                ctx.metrics().bump("icpda_parent_rerouted");
+                ctx.obs().inc("icpda_parent_rerouted");
                 self.upstream_target = Some(alt);
                 ctx.send_shared(alt, msg);
             }
-            None => ctx.metrics().bump("icpda_reroute_no_alternate"),
+            None => ctx.obs().inc("icpda_reroute_no_alternate"),
         }
     }
 
@@ -1757,7 +1756,7 @@ impl IcpdaNode {
         if self.config.integrity == IntegrityMode::Off {
             inputs.clear();
         }
-        ctx.metrics().bump("icpda_late_forwarded");
+        ctx.obs().inc("icpda_late_forwarded");
         ctx.send(
             target,
             IcpdaMsg::Upstream {
@@ -1803,17 +1802,17 @@ impl IcpdaNode {
             .check(totals, participants, inputs, self.config.threshold);
         match outcome {
             CheckOutcome::Violation(kind) => {
-                ctx.metrics().bump(match kind {
+                ctx.obs().inc(match kind {
                     ViolationKind::InconsistentSum => "icpda_violation_inconsistent",
                     ViolationKind::ForgedInput => "icpda_violation_forged_input",
                 });
                 if self.raise_alarm(ctx, sender) {
-                    ctx.metrics().bump("icpda_alarm_raised");
+                    ctx.obs().inc("icpda_alarm_raised");
                 }
             }
-            CheckOutcome::Clean => ctx.metrics().bump("icpda_audit_clean"),
-            CheckOutcome::PartialClean => ctx.metrics().bump("icpda_audit_partial"),
-            CheckOutcome::Unknown => ctx.metrics().bump("icpda_audit_unknown"),
+            CheckOutcome::Clean => ctx.obs().inc("icpda_audit_clean"),
+            CheckOutcome::PartialClean => ctx.obs().inc("icpda_audit_partial"),
+            CheckOutcome::Unknown => ctx.obs().inc("icpda_audit_unknown"),
         }
         // Cache after checking (a sender's own message must not vouch for
         // itself).
@@ -1841,13 +1840,13 @@ impl IcpdaNode {
         // their own slot; the base station only ever receives).
         obs_phase_start(ctx, PHASE_ASCENT_VERIFY);
         if totals_raw.len() != self.components() {
-            ctx.metrics().bump("icpda_upstream_malformed");
+            ctx.obs().inc("icpda_upstream_malformed");
             return;
         }
         let totals: Vec<Fp> = totals_raw.iter().map(|&v| Fp::new(v)).collect();
         if !self.seen_upstream.insert((from, msg_id)) {
-            ctx.metrics().bump("icpda_upstream_duplicate");
-            ctx.metrics().bump("icpda_rel_duplicate");
+            ctx.obs().inc("icpda_upstream_duplicate");
+            ctx.obs().inc("icpda_rel_duplicate");
             return;
         }
         // Byzantine hook (ascent): a SelectiveForward node black-holes
@@ -1855,7 +1854,7 @@ impl IcpdaNode {
         // nowhere. The base station itself never drops (node 0 is
         // honest by construction).
         if !self.is_base_station && self.behavior == Behavior::SelectiveForward {
-            ctx.metrics().bump("icpda_adv_dropped_upstream");
+            ctx.obs().inc("icpda_adv_dropped_upstream");
             ctx.trace_adversary(self.behavior.code());
             return;
         }
@@ -1867,7 +1866,7 @@ impl IcpdaNode {
             && inputs.is_empty()
             && (participants > 0 || totals.iter().any(|t| !t.is_zero()))
         {
-            ctx.metrics().bump("icpda_upstream_unaudited");
+            ctx.obs().inc("icpda_upstream_unaudited");
             self.raise_alarm(ctx, from);
             return;
         }
@@ -1882,7 +1881,7 @@ impl IcpdaNode {
                 // subtracted once before absorbing.
                 for claim in inputs {
                     if !self.bs_merged_refs.insert(claim.source) {
-                        ctx.metrics().bump("icpda_bs_dedup");
+                        ctx.obs().inc("icpda_bs_dedup");
                         for (t, &c) in totals.iter_mut().zip(&claim.totals) {
                             *t -= Fp::new(c);
                         }
@@ -1898,7 +1897,7 @@ impl IcpdaNode {
             return;
         }
         if self.upstream_sent {
-            ctx.metrics().bump("icpda_upstream_late");
+            ctx.obs().inc("icpda_upstream_late");
             if self.config.crash_recovery {
                 self.late_forward(ctx, from, msg_id, totals_raw, participants);
             }
@@ -1950,7 +1949,7 @@ impl IcpdaNode {
         if !self.config.crash_recovery || self.role != Role::Head || self.has_resigned {
             return;
         }
-        ctx.metrics().bump("icpda_beacon_sent");
+        ctx.obs().inc("icpda_beacon_sent");
         ctx.broadcast(IcpdaMsg::HeadBeacon { head: ctx.id() });
     }
 
@@ -1958,7 +1957,7 @@ impl IcpdaNode {
         let totals: Vec<u64> = self.upstream_acc.iter().map(|f| f.to_u64()).collect();
         let value = self.config.function.decode(&totals);
         let accepted = self.bs_alarms.is_empty();
-        ctx.metrics().bump(if accepted {
+        ctx.obs().inc(if accepted {
             "icpda_round_accepted"
         } else {
             "icpda_round_rejected"
@@ -2002,7 +2001,7 @@ impl Application for IcpdaNode {
                     // Duplicate-safe: a retransmitted or channel-duplicated
                     // announce must not skew the head-pick distribution.
                     if self.heads_heard.contains(&from) {
-                        ctx.metrics().bump("icpda_rel_duplicate");
+                        ctx.obs().inc("icpda_rel_duplicate");
                     } else {
                         self.heads_heard.push(from);
                     }
@@ -2017,7 +2016,7 @@ impl Application for IcpdaNode {
                             self.schedule_rejoin(ctx);
                         }
                     } else {
-                        ctx.metrics().bump("icpda_rel_duplicate");
+                        ctx.obs().inc("icpda_rel_duplicate");
                     }
                 }
             }
@@ -2030,7 +2029,7 @@ impl Application for IcpdaNode {
                     // Duplicate-safe: one roster slot per joiner no matter
                     // how many copies of the Join arrive.
                     if self.joiners.contains(&from) {
-                        ctx.metrics().bump("icpda_rel_duplicate");
+                        ctx.obs().inc("icpda_rel_duplicate");
                     } else {
                         self.joiners.push(from);
                     }

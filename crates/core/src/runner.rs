@@ -52,7 +52,6 @@ pub struct IcpdaRun {
     channel_plan: ChannelPlan,
     adversary_plan: AdversaryPlan,
     obs_stream: Option<(ObsStream, Manifest)>,
-    profile_sections: Vec<(String, u64, u64)>,
 }
 
 impl IcpdaRun {
@@ -81,7 +80,6 @@ impl IcpdaRun {
             channel_plan: ChannelPlan::none(),
             adversary_plan: AdversaryPlan::none(),
             obs_stream: None,
-            profile_sections: Vec::new(),
         }
     }
 
@@ -90,27 +88,13 @@ impl IcpdaRun {
     /// completed spans drain into `spans.jsonl` at every round boundary,
     /// the link-layer trace (when `trace_level` > `Off`) streams into
     /// `trace.jsonl` through a fixed-size buffer, and `finish` writes
-    /// `manifest.json` + `metrics.jsonl` — all through the same renderers
-    /// as the buffered exporter, so the files are byte-identical to
-    /// [`icpda_obs::export::write_dir`]'s at any thread count.
-    /// The outcome's [`IcpdaOutcome::stream`] summarises what was
-    /// written; I/O failures are reported there, never panicked on.
+    /// `manifest.json` + `metrics.jsonl`. Every file is byte-identical
+    /// at any thread count. The outcome's [`IcpdaOutcome::stream`]
+    /// summarises what was written; I/O failures are reported there,
+    /// never panicked on.
     #[must_use]
     pub fn with_obs_stream(mut self, stream: ObsStream, manifest: Manifest) -> Self {
         self.obs_stream = Some((stream, manifest));
-        self
-    }
-
-    /// Attributes a host-side setup section (e.g. `setup.neighbor_build`)
-    /// to the engine profile written when [`SimConfig::profile`] is set.
-    #[must_use]
-    pub fn with_profile_section(
-        mut self,
-        name: impl Into<String>,
-        events: u64,
-        wall_ns: u64,
-    ) -> Self {
-        self.profile_sections.push((name.into(), events, wall_ns));
         self
     }
 
@@ -240,9 +224,6 @@ impl IcpdaRun {
                 }
             }
         }
-        for (name, events, wall_ns) in &self.profile_sections {
-            sim.record_profile_section(name, *events, *wall_ns);
-        }
         for (node, behavior) in self.adversary_plan.compromised() {
             sim.app_mut(node).set_behavior(behavior);
         }
@@ -285,16 +266,14 @@ impl IcpdaRun {
             + SimDuration::from_secs(1);
         sim.run_until(deadline);
 
-        // Detach the observability registry: close still-open spans at
-        // the virtual end time and fold the protocol counters (and the
-        // run-level liveness gauge) in, so one registry describes the
-        // whole run. With observability off this is two branches.
+        // Detach the observability registry, which already holds the
+        // protocol counters: close still-open spans at the virtual end
+        // time and fold the run-level liveness gauge and loss totals in,
+        // so one registry describes the whole run. With observability
+        // off this is one branch.
         let mut obs = sim.take_obs();
         if obs.enabled() {
             obs.finish(sim.now().as_nanos());
-            for (name, value) in sim.metrics().user_counters() {
-                obs.add(name, value);
-            }
             obs.gauge_set("sim.min_alive", sim.metrics().min_alive() as i64);
             // Per-cause loss totals, for the `icpda obs report` loss
             // breakdown table.
@@ -458,14 +437,14 @@ impl IcpdaRun {
             included,
             cluster_sizes,
             rosters,
-            clusters_solved: metrics.user_counter("icpda_head_solved"),
+            clusters_solved: obs.counter("icpda_head_solved"),
             total_bytes: metrics.total_bytes_sent(),
             total_frames: metrics.total_frames_sent(),
             energy_mj: metrics.total_energy_mj(),
             collisions: metrics.total_lost(LossCause::Collision),
             last_update: sim.app(NodeId::new(0)).last_update(),
             finished_at: sim.now(),
-            user_counters: metrics.user_counters().collect(),
+            user_counters: obs.counters().collect(),
             collusion,
             obs,
             stream,
@@ -556,13 +535,16 @@ pub struct IcpdaOutcome {
     pub last_update: Option<wsn_sim::SimTime>,
     /// Virtual end time of the run.
     pub finished_at: wsn_sim::SimTime,
-    /// All protocol counters, for ad-hoc inspection.
+    /// All counters of [`IcpdaOutcome::obs`], in name order: the
+    /// protocol counters, plus (at `ObsLevel::Full`) the `engine.*` and
+    /// `sim_lost_*` counters.
     pub user_counters: Vec<(&'static str, u64)>,
     /// The collusion evaluation, present iff the adversary plan named at
     /// least one [`crate::adversary::Behavior::ColludePrivacy`] node.
     pub collusion: Option<CollusionReport>,
     /// The run's observability registry (spans, counters, gauges,
-    /// histograms). Empty unless `SimConfig::obs_level` was raised; see
+    /// histograms). Only the protocol counters unless
+    /// `SimConfig::obs_level` was raised; see
     /// [`icpda_obs`](wsn_sim::Obs) and DESIGN §12. With a stream
     /// attached, completed spans have already left the registry — see
     /// `stream` and [`icpda_obs::Obs::spans_drained`].

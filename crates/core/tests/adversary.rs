@@ -157,7 +157,7 @@ fn pollution_and_slander_leave_adversary_notes_in_the_trace() {
     }
     let alarms = &sim.app(NodeId::new(0)).decision().expect("decided").alarms;
     assert!(alarms.contains(&(*slanderer, victim)), "{alarms:?}");
-    assert!(sim.metrics().user_counter("icpda_slander_sent") >= 1);
+    assert!(sim.obs().counter("icpda_slander_sent") >= 1);
 }
 
 /// Rosters of size ≥ 3 formed in the honest run, as (victim, members).

@@ -115,7 +115,7 @@ fn render_run(
             nm.mac_drops,
         );
     }
-    for (name, value) in m.user_counters() {
+    for (name, value) in sim.obs().counters() {
         let _ = writeln!(out, "counter {name}={value}");
     }
     (out, repeats)

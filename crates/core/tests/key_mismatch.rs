@@ -29,7 +29,7 @@ fn wrong_master_key_nodes_are_dropped_not_fatal() {
 
     // Bad shares were seen and rejected.
     assert!(
-        sim.metrics().user_counter("icpda_share_bad") > 0,
+        sim.obs().counter("icpda_share_bad") > 0,
         "mis-keyed shares must be detected"
     );
     // The base station still decided and never over-counts. Note the

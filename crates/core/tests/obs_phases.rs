@@ -1,6 +1,6 @@
 //! Observability integration: at `ObsLevel::Full` a churned run emits
 //! spans for all six protocol phases plus the engine internals, and at
-//! the default (`Off`) the registry stays completely empty.
+//! the default (`Off`) the registry holds only the protocol counters.
 
 use agg::AggFunction;
 use icpda::{IcpdaConfig, IcpdaOutcome, IcpdaRun};
@@ -11,7 +11,7 @@ use wsn_sim::geometry::Region;
 use wsn_sim::prelude::*;
 
 /// The same run the CLI produces for
-/// `icpda run --nodes 120 --seed 7 --churn 0.15 [--obs-out ...]`:
+/// `icpda run --nodes 120 --seed 7 --churn 0.15`:
 /// node churn makes heads die mid-formation, so crash recovery fires.
 fn churned_run(obs_level: ObsLevel) -> IcpdaOutcome {
     let n = 120;
@@ -54,7 +54,7 @@ fn full_level_covers_all_six_phases_and_engine_internals() {
     assert!(out.obs.counter("engine.delivery_batches") > 0);
     assert!(out.obs.counter("engine.fault_edges") > 0);
     assert!(out.obs.counter("engine.timers_fired") > 0);
-    // Protocol counters are folded into the registry after the run.
+    // Protocol counters count into the same registry.
     assert!(out.obs.counter("icpda_heads") > 0);
     // Every span is well-formed: monotone interval, saturating deltas.
     for s in out.obs.spans() {
@@ -63,9 +63,14 @@ fn full_level_covers_all_six_phases_and_engine_internals() {
 }
 
 #[test]
-fn default_level_records_nothing() {
+fn default_level_records_only_protocol_counters() {
     let out = churned_run(ObsLevel::Off);
     assert!(!out.obs.enabled());
     assert!(out.obs.spans().is_empty());
-    assert_eq!(out.obs.counters().count(), 0);
+    assert_eq!(out.obs.gauges().count(), 0);
+    assert_eq!(out.obs.histograms().count(), 0);
+    assert!(out.obs.counter("icpda_heads") > 0);
+    for (name, _) in out.obs.counters() {
+        assert!(name.starts_with("icpda_"), "non-protocol counter {name}");
+    }
 }

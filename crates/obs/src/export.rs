@@ -1,18 +1,19 @@
-//! The obs-directory exporter: `manifest.json` + `spans.jsonl` +
-//! `metrics.jsonl`.
+//! The obs-directory record renderers: `manifest.json`, `spans.jsonl`
+//! and `metrics.jsonl`.
 //!
-//! `spans.jsonl` and `metrics.jsonl` are pure functions of the [`Obs`]
-//! registry, which is filled by the single-threaded simulator — so for a
-//! given seed they are byte-identical at any harness thread count (CI
-//! `cmp`s a 1-thread against an 8-thread run). `manifest.json` is the
-//! one file that records environment facts (thread count, git revision)
-//! and is excluded from that comparison.
+//! [`crate::stream::ObsStream`] writes an obs directory through these
+//! renderers. `spans.jsonl` and `metrics.jsonl` are pure functions of
+//! the [`Obs`] registry, which is filled by the single-threaded
+//! simulator — so for a given seed they are byte-identical at any
+//! harness thread count (CI `cmp`s a 1-thread against an 8-thread run).
+//! `manifest.json` is the one file that records environment facts
+//! (thread count, git revision) and is excluded from that comparison.
+//! [`spans_jsonl`] renders a whole registry in memory; it is the
+//! reference the streaming exporter's tests compare against.
 
 use crate::json::Json;
 use crate::Obs;
 use std::fmt::Write as _;
-use std::io;
-use std::path::Path;
 
 /// Version stamp written into every `manifest.json`. Readers reject
 /// other versions with a clear error instead of a parse panic.
@@ -119,10 +120,10 @@ pub fn check_schema_version(doc: &Json, what: &str) -> Result<(), String> {
 
 /// Appends one `spans.jsonl` line (newline included) for `s` to `out`.
 ///
-/// This is the *single* span renderer: [`spans_jsonl`] (the buffered
-/// exporter) and [`crate::stream::ObsStream`] (the streaming exporter)
-/// both call it, so their output is byte-identical by construction —
-/// the property the CI `cmp` gates pin.
+/// This is the *single* span renderer: [`crate::stream::ObsStream`]
+/// writes every span through it and [`spans_jsonl`] (the in-memory
+/// reference) calls it too, so the two are byte-identical by
+/// construction.
 pub fn write_span_line(out: &mut String, s: &crate::Span) {
     out.push_str("{\"name\":\"");
     crate::json::escape_into(out, s.name);
@@ -180,19 +181,6 @@ pub fn metrics_jsonl(obs: &Obs) -> String {
         let _ = writeln!(out, "{}", line.compact());
     }
     out
-}
-
-/// Writes the three obs files into `dir`, creating it if needed.
-///
-/// # Errors
-///
-/// Any I/O failure creating the directory or writing a file.
-pub fn write_dir(dir: &Path, manifest: &Manifest, obs: &Obs) -> io::Result<()> {
-    std::fs::create_dir_all(dir)?;
-    std::fs::write(dir.join("manifest.json"), manifest.to_json().pretty())?;
-    std::fs::write(dir.join("spans.jsonl"), spans_jsonl(obs))?;
-    std::fs::write(dir.join("metrics.jsonl"), metrics_jsonl(obs))?;
-    Ok(())
 }
 
 #[cfg(test)]

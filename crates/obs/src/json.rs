@@ -8,7 +8,7 @@
 //!
 //! Historically this lived in `icpda-bench`; it moved here so the obs
 //! exporter (which `wsn-sim` sits on top of) can use it without a
-//! dependency cycle. `icpda_bench::json` re-exports it unchanged.
+//! dependency cycle.
 
 use std::fmt::Write as _;
 

@@ -1,9 +1,10 @@
 //! # icpda-obs — unified observability for the iCPDA reproduction
 //!
-//! A zero-cost-when-off span/metrics registry plus a deterministic JSONL
-//! exporter and report renderer. The simulator engine (`wsn-sim`) and the
-//! protocol layer (`icpda-core`) record into an [`Obs`] registry; the CLI
-//! and bench harness export it as an *obs directory*:
+//! The run's one counter registry, zero-cost-when-off spans, gauges and
+//! histograms, a deterministic streaming JSONL exporter and a report
+//! renderer. The simulator engine (`wsn-sim`) and the protocol layer
+//! (`icpda-core`) record into an [`Obs`] registry; the CLI and bench
+//! harness stream it into an *obs directory*:
 //!
 //! * `manifest.json` — run configuration, seed, git revision, thread count
 //!   and a [`export::OBS_SCHEMA_VERSION`] stamp,
@@ -14,12 +15,15 @@
 //!
 //! ## Cost model
 //!
-//! The registry is guarded exactly like `wsn_sim::TraceLevel`: every
-//! recording site checks [`Obs::wants`] *before* computing a snapshot or
-//! constructing any argument, so at [`ObsLevel::Off`] (the default) an
-//! instrumentation point costs one branch and zero allocations. The
+//! Counters count at every level: the protocol's per-message accounting
+//! (shares sent, FSums resent, alarms raised, ...) lives here and only
+//! here, so an [`ObsLevel::Off`] registry holds exactly those counters.
+//! Spans, gauges and histograms are guarded like `wsn_sim::TraceLevel`:
+//! every recording site checks [`Obs::enabled`] *before* computing a
+//! snapshot or constructing any argument, so at `Off` (the default) such
+//! an instrumentation point costs one branch and zero allocations. The
 //! registry itself allocates nothing at construction — empty `BTreeMap`s
-//! and `Vec`s have no heap footprint — so an `Off` registry is free.
+//! and `Vec`s have no heap footprint.
 //!
 //! ## Determinism
 //!
@@ -41,35 +45,18 @@ pub mod stream;
 use std::collections::BTreeMap;
 
 /// How much the observability layer records. Mirrors
-/// `wsn_sim::TraceLevel`: recording sites guard with [`Obs::wants`] so
-/// below the required level an instrumentation point is one branch.
+/// `wsn_sim::TraceLevel`: recording sites guard with [`Obs::enabled`],
+/// so at `Off` a span, gauge or histogram point is one branch.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub enum ObsLevel {
-    /// Record nothing (the default; zero cost beyond one branch per
-    /// instrumentation point).
+    /// Count protocol counters only (the default; every other
+    /// instrumentation point costs one branch).
     #[default]
     Off,
-    /// Record protocol-phase spans and protocol counters/gauges.
-    Phases,
-    /// Additionally record engine internals: delivery-batch histograms,
-    /// MAC-drop and timer-churn counters, fault-transition spans.
+    /// Additionally record protocol-phase spans and gauges, and the
+    /// engine internals: delivery-batch histograms, MAC-drop and
+    /// timer-churn counters, fault-transition spans.
     Full,
-}
-
-impl ObsLevel {
-    /// Parses the CLI spelling of a level (`off`/`phases`/`full`).
-    ///
-    /// # Errors
-    ///
-    /// Names the accepted spellings on anything else.
-    pub fn parse(s: &str) -> Result<ObsLevel, String> {
-        match s {
-            "off" => Ok(ObsLevel::Off),
-            "phases" => Ok(ObsLevel::Phases),
-            "full" => Ok(ObsLevel::Full),
-            other => Err(format!("expected off|phases|full, got '{other}'")),
-        }
-    }
 }
 
 /// A point-in-time accounting snapshot for one node, taken at span start
@@ -232,8 +219,8 @@ pub struct Obs {
 }
 
 impl Obs {
-    /// Creates a registry at `level`. Allocates nothing — an `Off`
-    /// registry is free to construct and carry.
+    /// Creates a registry at `level`. Allocates nothing until the first
+    /// record.
     #[must_use]
     pub fn new(level: ObsLevel) -> Self {
         Obs {
@@ -254,30 +241,21 @@ impl Obs {
         self.level
     }
 
-    /// Whether anything is recorded at all.
+    /// Whether spans, gauges and histograms are recorded. Recording
+    /// sites guard with this *before* computing snapshots so a disabled
+    /// site costs one branch.
     #[must_use]
     pub fn enabled(&self) -> bool {
         self.level > ObsLevel::Off
     }
 
-    /// Whether events of class `level` have a consumer attached.
-    /// Recording sites guard with this *before* computing snapshots so a
-    /// disabled site costs one branch.
-    #[must_use]
-    pub fn wants(&self, level: ObsLevel) -> bool {
-        self.level >= level
-    }
-
-    /// Increments counter `name` by one.
+    /// Increments counter `name` by one (at every level).
     pub fn inc(&mut self, name: &'static str) {
         self.add(name, 1);
     }
 
-    /// Adds `delta` to counter `name`.
+    /// Adds `delta` to counter `name` (at every level).
     pub fn add(&mut self, name: &'static str, delta: u64) {
-        if self.level == ObsLevel::Off {
-            return;
-        }
         *self.counters.entry(name).or_insert(0) += delta;
     }
 
@@ -395,7 +373,7 @@ impl Obs {
     /// The order of the drained items is completion order — exactly the
     /// order [`export::spans_jsonl`] would have rendered them in — so a
     /// streaming writer that consumes every drain produces byte-identical
-    /// `spans.jsonl` output to the buffered path.
+    /// `spans.jsonl` output to the in-memory renderer.
     pub fn drain_spans(&mut self) -> std::vec::Drain<'_, Span> {
         self.drained += self.spans.len() as u64;
         self.spans.drain(..)
@@ -427,33 +405,22 @@ mod tests {
     }
 
     #[test]
-    fn off_registry_records_nothing_and_allocates_nothing() {
+    fn off_registry_keeps_counters_and_records_nothing_else() {
         let mut obs = Obs::off();
+        assert_eq!(ObsLevel::default(), ObsLevel::Off);
         assert!(!obs.enabled());
-        assert!(!obs.wants(ObsLevel::Phases));
         obs.inc("c");
         obs.gauge_set("g", 3);
         obs.observe("h", &[1, 2], 1);
         obs.span_start("s", 1, 10, snap(0, 0, 0));
         obs.span_end("s", 1, 20, snap(1, 1, 1));
         obs.finish(30);
-        assert_eq!(obs.counters().count(), 0);
+        assert_eq!(obs.counters().collect::<Vec<_>>(), vec![("c", 1)]);
         assert_eq!(obs.gauges().count(), 0);
         assert_eq!(obs.histograms().count(), 0);
         assert!(obs.spans().is_empty());
-        // No backing storage was ever grown.
+        // No span storage was ever grown.
         assert_eq!(obs.spans.capacity(), 0);
-    }
-
-    #[test]
-    fn levels_order_like_trace_levels() {
-        let phases = Obs::new(ObsLevel::Phases);
-        assert!(phases.wants(ObsLevel::Phases));
-        assert!(!phases.wants(ObsLevel::Full));
-        let full = Obs::new(ObsLevel::Full);
-        assert!(full.wants(ObsLevel::Phases));
-        assert!(full.wants(ObsLevel::Full));
-        assert_eq!(ObsLevel::default(), ObsLevel::Off);
     }
 
     #[test]
@@ -477,7 +444,7 @@ mod tests {
 
     #[test]
     fn span_lifecycle_records_deltas() {
-        let mut obs = Obs::new(ObsLevel::Phases);
+        let mut obs = Obs::new(ObsLevel::Full);
         obs.span_start("phase.x", 3, 100, snap(10, 500, 9_000));
         assert!(obs.span_open("phase.x", 3));
         // Re-opening is a no-op: the first start wins.
@@ -504,7 +471,7 @@ mod tests {
 
     #[test]
     fn finish_closes_open_spans_with_zero_deltas() {
-        let mut obs = Obs::new(ObsLevel::Phases);
+        let mut obs = Obs::new(ObsLevel::Full);
         obs.span_start("engine.outage", 5, 50, snap(1, 2, 3));
         obs.finish(80);
         assert_eq!(obs.spans().len(), 1);

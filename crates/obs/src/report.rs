@@ -512,7 +512,7 @@ pub fn render_diff(a: &ObsRun, b: &ObsRun, warn_pct: f64) -> (String, Vec<String
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::export::{write_dir, Manifest};
+    use crate::export::Manifest;
     use crate::{Obs, ObsLevel, SpanSnapshot};
 
     fn run_with(messages: u64) -> ObsRun {
@@ -685,7 +685,8 @@ mod tests {
             config: vec![("nodes".into(), "10".into())],
         };
         let dir = std::env::temp_dir().join(format!("obs-rt-{}", std::process::id()));
-        write_dir(&dir, &manifest, &obs).expect("write obs dir");
+        let stream = crate::stream::ObsStream::create(&dir).expect("open obs dir");
+        stream.finish(&manifest, &mut obs).expect("write obs dir");
         let run = load_dir(&dir).expect("load obs dir");
         std::fs::remove_dir_all(&dir).ok();
         assert_eq!(run.manifest, manifest);

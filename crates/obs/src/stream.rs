@@ -1,10 +1,9 @@
-//! Streaming JSONL export: bounded-memory emission of obs artefacts.
+//! Streaming JSONL export: the one way an obs directory is written.
 //!
-//! The buffered exporter ([`crate::export::write_dir`]) renders the whole
-//! registry at the end of a run — simple, but at N=50k a full-trace
-//! capture buffers hundreds of megabytes before the first byte hits
-//! disk. This module replaces buffer-then-export with incremental
-//! emission through a **fixed-size reusable buffer**:
+//! Rendering the whole registry at the end of a run is simple, but at
+//! N=50k a full-trace capture would buffer hundreds of megabytes before
+//! the first byte hit disk. This module emits incrementally through a
+//! **fixed-size reusable buffer** instead:
 //!
 //! * [`JsonlSink`] — a line-oriented writer that renders records into one
 //!   reused `String` and flushes it to the underlying file whenever it
@@ -14,13 +13,15 @@
 //!   into `spans.jsonl` at every round boundary (see
 //!   `IcpdaRun::with_obs_stream` in `icpda`), `trace.jsonl` sinks are
 //!   handed to the engine, and `finish` writes `manifest.json` +
-//!   `metrics.jsonl` exactly as the buffered path would.
+//!   `metrics.jsonl`.
 //!
 //! **Byte-identity:** every record kind has exactly one renderer
 //! ([`crate::export::write_span_line`], `metrics_jsonl`, the trace-entry
-//! renderer in `wsn-sim`), shared between the buffered and streaming
-//! paths, so for a given seed the streamed files `cmp` equal to the
-//! in-memory exporter's at any harness thread count.
+//! renderer in `wsn-sim`). The in-memory renderers
+//! ([`crate::export::spans_jsonl`], `wsn_sim::Trace::to_jsonl`) call the
+//! same per-record functions and serve as the references the tests
+//! compare a stream against; for a given seed the streamed files are
+//! byte-identical at any harness thread count.
 //!
 //! **Error model:** the engine calls the sink from its event loop, where
 //! a per-record `io::Result` has nowhere to go — the first I/O error is
@@ -215,8 +216,7 @@ impl ObsStream {
 
     /// Finishes the export: drains any remaining spans, flushes the
     /// sink, then writes `manifest.json` and `metrics.jsonl` (the latter
-    /// through the same renderer as the buffered path, so the files are
-    /// byte-identical).
+    /// through [`metrics_jsonl`]).
     ///
     /// # Errors
     ///
@@ -344,7 +344,7 @@ mod tests {
         assert_eq!(streamed, reference, "streamed spans.jsonl diverged");
         let metrics = std::fs::read_to_string(dir.join("metrics.jsonl")).expect("metrics");
         assert_eq!(metrics, crate::export::metrics_jsonl(&filled_obs(57)));
-        // The full buffered directory loads back through the reader.
+        // The streamed directory loads back through the reader.
         let run = crate::report::load_dir(&dir).expect("load streamed dir");
         assert_eq!(run.spans.len(), 57);
         std::fs::remove_dir_all(&dir).ok();

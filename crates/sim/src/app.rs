@@ -120,8 +120,7 @@ pub(crate) enum Command<M> {
     /// Record an adversary-action trace note (see
     /// [`crate::trace::TraceKind::AdversaryAction`]). Buffered like every
     /// other side effect so the callback stays re-entrancy-free; the
-    /// engine drops it unless the trace sink wants `Metrics`-level
-    /// events.
+    /// engine drops it unless the trace sink is enabled.
     TraceNote {
         code: u8,
     },
@@ -141,7 +140,7 @@ pub struct Context<'a, M> {
     /// pay for it.
     pub(crate) rng: &'a mut Option<ChaCha8Rng>,
     pub(crate) seed: u64,
-    pub(crate) metrics: &'a mut Metrics,
+    pub(crate) metrics: &'a Metrics,
     pub(crate) obs: &'a mut Obs,
     pub(crate) commands: &'a mut Vec<Command<M>>,
     pub(crate) next_timer_id: &'a mut u64,
@@ -174,21 +173,18 @@ impl<'a, M: WireSize> Context<'a, M> {
         self.rng.get_or_insert_with(|| node_rng(seed, i))
     }
 
-    /// Protocol-level named counters (see [`Metrics::bump`]).
-    pub fn metrics(&mut self) -> &mut Metrics {
-        self.metrics
-    }
-
-    /// The run's observability registry (see [`icpda_obs::Obs`];
-    /// disabled unless `SimConfig::obs_level` is raised). Guard
-    /// recording with [`Obs::wants`] before computing arguments.
+    /// The run's observability registry (see [`icpda_obs::Obs`]):
+    /// protocol-level named counters count at every level (e.g.
+    /// `obs().inc("share_sent")`); spans, gauges and histograms record
+    /// only when `SimConfig::obs_level` is raised. Guard those with
+    /// [`Obs::enabled`] before computing arguments.
     pub fn obs(&mut self) -> &mut Obs {
         self.obs
     }
 
     /// A point-in-time [`SpanSnapshot`] of this node's traffic/energy
     /// accounting, for span start/end bookkeeping. Call only under an
-    /// [`Obs::wants`] guard.
+    /// [`Obs::enabled`] guard.
     #[must_use]
     pub fn obs_snapshot(&self) -> SpanSnapshot {
         let nm = self.metrics.node(self.node);
@@ -276,7 +272,7 @@ mod tests {
     fn harness<'a, M: WireSize>(
         cmds: &'a mut Vec<Command<M>>,
         rng: &'a mut Option<ChaCha8Rng>,
-        metrics: &'a mut Metrics,
+        metrics: &'a Metrics,
         obs: &'a mut Obs,
         next_id: &'a mut u64,
     ) -> Context<'a, M> {
@@ -297,10 +293,10 @@ mod tests {
     fn send_records_wire_size() {
         let mut cmds = Vec::new();
         let mut rng = None;
-        let mut metrics = Metrics::new(4);
+        let metrics = Metrics::new(4);
         let mut obs = Obs::off();
         let mut next_id = 0;
-        let mut ctx = harness::<Vec<u8>>(&mut cmds, &mut rng, &mut metrics, &mut obs, &mut next_id);
+        let mut ctx = harness::<Vec<u8>>(&mut cmds, &mut rng, &metrics, &mut obs, &mut next_id);
         ctx.send(NodeId::new(1), vec![0; 9]);
         ctx.broadcast(vec![0; 3]);
         match &cmds[0] {
@@ -327,12 +323,12 @@ mod tests {
     fn shared_payload_caches_wire_size_and_allocation() {
         let mut cmds = Vec::new();
         let mut rng = None;
-        let mut metrics = Metrics::new(4);
+        let metrics = Metrics::new(4);
         let mut obs = Obs::off();
         let mut next_id = 0;
         let shared = SharedPayload::new(vec![0u8; 13]);
         assert_eq!(shared.size_bytes(), 13);
-        let mut ctx = harness::<Vec<u8>>(&mut cmds, &mut rng, &mut metrics, &mut obs, &mut next_id);
+        let mut ctx = harness::<Vec<u8>>(&mut cmds, &mut rng, &metrics, &mut obs, &mut next_id);
         ctx.send_shared(NodeId::new(1), &shared);
         ctx.broadcast_shared(&shared);
         for cmd in &cmds {
@@ -355,10 +351,10 @@ mod tests {
     fn timers_get_unique_ids_and_absolute_times() {
         let mut cmds = Vec::new();
         let mut rng = None;
-        let mut metrics = Metrics::new(4);
+        let metrics = Metrics::new(4);
         let mut obs = Obs::off();
         let mut next_id = 0;
-        let mut ctx = harness::<()>(&mut cmds, &mut rng, &mut metrics, &mut obs, &mut next_id);
+        let mut ctx = harness::<()>(&mut cmds, &mut rng, &metrics, &mut obs, &mut next_id);
         let a = ctx.set_timer(SimDuration::from_millis(10), 7);
         let b = ctx.set_timer(SimDuration::from_millis(20), 8);
         assert_ne!(a, b);
@@ -378,10 +374,10 @@ mod tests {
     fn rng_is_derived_on_first_use_only() {
         let mut cmds = Vec::new();
         let mut rng = None;
-        let mut metrics = Metrics::new(4);
+        let metrics = Metrics::new(4);
         let mut obs = Obs::off();
         let mut next_id = 0;
-        let mut ctx = harness::<()>(&mut cmds, &mut rng, &mut metrics, &mut obs, &mut next_id);
+        let mut ctx = harness::<()>(&mut cmds, &mut rng, &metrics, &mut obs, &mut next_id);
         ctx.set_timer(SimDuration::from_millis(1), 0);
         assert!(ctx.rng.is_none(), "no draw, no stream");
         let first = ctx.rng().next_u64();

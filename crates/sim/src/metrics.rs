@@ -7,7 +7,6 @@
 //! analysis), and a simple per-byte energy model (energy figure).
 
 use crate::ids::NodeId;
-use std::collections::BTreeMap;
 
 /// Energy cost model: nanojoules charged per on-air byte transmitted or
 /// received. Overhearing a frame costs receive energy too — the price of
@@ -112,12 +111,11 @@ impl NodeMetrics {
     }
 }
 
-/// Network-wide counters plus per-node breakdowns and user-defined
-/// protocol counters.
+/// Network-wide counters plus per-node breakdowns. Protocol-level named
+/// counters live in the run's [`icpda_obs::Obs`] registry.
 #[derive(Clone, Debug, Default)]
 pub struct Metrics {
     per_node: Vec<NodeMetrics>,
-    user: BTreeMap<&'static str, u64>,
     total_nodes: usize,
     down_now: usize,
     max_down: usize,
@@ -129,7 +127,6 @@ impl Metrics {
     pub fn new(n: usize) -> Self {
         Metrics {
             per_node: vec![NodeMetrics::default(); n],
-            user: BTreeMap::new(),
             total_nodes: n,
             down_now: 0,
             max_down: 0,
@@ -217,27 +214,6 @@ impl Metrics {
     pub(crate) fn note_up(&mut self) {
         self.down_now = self.down_now.saturating_sub(1);
     }
-
-    /// Increments a named protocol-level counter (e.g. `"share_sent"`).
-    pub fn bump(&mut self, counter: &'static str) {
-        self.add(counter, 1);
-    }
-
-    /// Adds to a named protocol-level counter.
-    pub fn add(&mut self, counter: &'static str, delta: u64) {
-        *self.user.entry(counter).or_insert(0) += delta;
-    }
-
-    /// Reads a named protocol-level counter (0 if never written).
-    #[must_use]
-    pub fn user_counter(&self, counter: &str) -> u64 {
-        self.user.get(counter).copied().unwrap_or(0)
-    }
-
-    /// All user counters, sorted by name.
-    pub fn user_counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.user.iter().map(|(k, v)| (*k, *v))
-    }
 }
 
 #[cfg(test)]
@@ -292,16 +268,5 @@ mod tests {
         m.node_mut(NodeId::new(0)).energy_rx_nj = 2e6;
         assert!((m.total_energy_mj() - 3.0).abs() < 1e-12);
         assert!((m.node(NodeId::new(0)).energy_total_nj() - 3e6).abs() < 1e-9);
-    }
-
-    #[test]
-    fn user_counters_accumulate_and_default_zero() {
-        let mut m = Metrics::new(0);
-        assert_eq!(m.user_counter("shares"), 0);
-        m.bump("shares");
-        m.add("shares", 4);
-        assert_eq!(m.user_counter("shares"), 5);
-        let all: Vec<_> = m.user_counters().collect();
-        assert_eq!(all, vec![("shares", 5)]);
     }
 }

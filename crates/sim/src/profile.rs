@@ -53,9 +53,6 @@ pub struct EngineProfiler {
     dispatch_ns: [u64; 6],
     dispatch_events: [u64; 6],
     peak_queue: usize,
-    /// Whole-run sections timed outside the event loop
-    /// (`setup.neighbor_build` etc.): `(name, events, wall_ns)`.
-    external: Vec<(String, u64, u64)>,
 }
 
 impl EngineProfiler {
@@ -114,21 +111,6 @@ impl EngineProfiler {
         }
     }
 
-    /// Records a whole-run section timed outside the event loop
-    /// (repeated names accumulate).
-    pub fn record_external(&mut self, name: &str, events: u64, wall_ns: u64) {
-        if !self.enabled {
-            return;
-        }
-        match self.external.iter_mut().find(|(n, _, _)| n == name) {
-            Some(e) => {
-                e.1 += events;
-                e.2 += wall_ns;
-            }
-            None => self.external.push((name.to_string(), events, wall_ns)),
-        }
-    }
-
     /// Freezes the attribution into a plain-data [`EngineProfile`].
     /// `events` is the engine's total processed-event count; `gauges`
     /// carries engine occupancy facts (arena/calendar) the profiler
@@ -149,7 +131,6 @@ impl EngineProfiler {
             }
             gauges.push(("calendar.peak_len".to_string(), self.peak_queue as i64));
         }
-        sections.extend(self.external.iter().cloned());
         EngineProfile {
             events,
             sections,
@@ -205,15 +186,6 @@ impl EngineProfile {
     }
 }
 
-/// Times a host-side section (deployment build, file load, ...) for
-/// [`EngineProfiler::record_external`]. Returns the closure's value and
-/// the elapsed wall nanoseconds.
-pub fn time_host<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let t0 = Instant::now();
-    let value = f();
-    (value, t0.elapsed().as_nanos() as u64)
-}
-
 /// The process's peak resident set size (Linux `VmHWM`), in bytes.
 /// `None` where `/proc/self/status` is unavailable. A host fact like
 /// wall time: report it on stderr or in a host-facts artefact, never in
@@ -241,7 +213,6 @@ mod tests {
         let s = p.lap_start();
         let s = p.lap_pop(s, 10);
         p.lap_dispatch(s, 3);
-        p.record_external("setup.neighbor_build", 1, 1_000_000);
         let profile = p.finish(99, Vec::new());
         assert!(profile.sections.is_empty());
         assert!(profile.gauges.is_empty());
@@ -259,7 +230,6 @@ mod tests {
         let s = p.lap_start();
         let s = p.lap_pop(s, 2);
         p.lap_dispatch(s, 0); // timer
-        p.record_external("setup.neighbor_build", 1, 5_000);
         let profile = p.finish(4, vec![("arena.peak_outstanding".into(), 12)]);
 
         let find = |name: &str| {
@@ -272,9 +242,8 @@ mod tests {
         assert_eq!(find("engine.next_event"), Some(4));
         assert_eq!(find("engine.dispatch.delivery"), Some(3));
         assert_eq!(find("engine.dispatch.timer"), Some(1));
-        // Phases with zero events are omitted; externals follow.
+        // Phases with zero events are omitted.
         assert_eq!(find("engine.dispatch.redelivery"), None);
-        assert_eq!(find("setup.neighbor_build"), Some(1));
         // Occupancy gauges: caller-provided plus the queue peak.
         assert!(profile
             .gauges
@@ -304,12 +273,5 @@ mod tests {
         // This host exposes VmHWM, and the reader surfaces it.
         assert_eq!(run.rss_hwm_bytes, profile.rss_hwm_bytes);
         assert!(peak_rss_bytes().is_some());
-    }
-
-    #[test]
-    fn time_host_measures_and_returns() {
-        let (v, ns) = time_host(|| 41 + 1);
-        assert_eq!(v, 42);
-        let _ = ns; // non-negative by type; just proves the call shape
     }
 }

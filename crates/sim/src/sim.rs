@@ -56,8 +56,9 @@ pub struct SimConfig {
     /// Irrelevant while `trace_capacity` is 0.
     pub trace_level: TraceLevel,
     /// How much the run's observability registry records (see
-    /// [`ObsLevel`]; `Off` by default — one branch per instrumentation
-    /// point, no allocation, byte-identical engine behavior).
+    /// [`ObsLevel`]; `Off` by default — protocol counters only, one
+    /// branch per other instrumentation point, byte-identical engine
+    /// behavior).
     pub obs_level: ObsLevel,
     /// Engine self-profiling (see [`crate::profile`]): wall-clock
     /// attribution of pop/dispatch per event kind, frozen into
@@ -558,12 +559,6 @@ impl<A: Application> Simulator<A> {
         self.trace.finish_stream()
     }
 
-    /// Attributes a host-side section (e.g. `setup.neighbor_build`) to
-    /// the engine profile. A no-op when [`SimConfig::profile`] is off.
-    pub fn record_profile_section(&mut self, name: &str, events: u64, wall_ns: u64) {
-        self.profiler.record_external(name, events, wall_ns);
-    }
-
     /// Freezes the self-profiler into an [`EngineProfile`], folding in
     /// the arena occupancy gauges. Meaningful only when
     /// [`SimConfig::profile`] was set; otherwise the profile has no
@@ -583,8 +578,9 @@ impl<A: Application> Simulator<A> {
         self.profiler.finish(self.events_processed, gauges)
     }
 
-    /// The observability registry (disabled unless
-    /// [`SimConfig::obs_level`] is raised).
+    /// The observability registry: the protocol counters, plus spans,
+    /// gauges, histograms and engine counters when
+    /// [`SimConfig::obs_level`] is raised.
     #[must_use]
     pub fn obs(&self) -> &Obs {
         &self.obs
@@ -630,11 +626,11 @@ impl<A: Application> Simulator<A> {
                 if self.fault_plan.is_down(node, SimTime::ZERO) {
                     self.radios[i].down = true;
                     self.metrics.note_down();
-                    if self.trace.wants(TraceLevel::Metrics) {
+                    if self.trace.enabled() {
                         self.trace
                             .record(SimTime::ZERO, TraceKind::NodeDown { node });
                     }
-                    if self.obs.wants(ObsLevel::Full) {
+                    if self.obs.enabled() {
                         let snap = obs_snap(&self.metrics, node);
                         self.obs.span_start("engine.outage", node.as_u32(), 0, snap);
                     }
@@ -659,7 +655,7 @@ impl<A: Application> Simulator<A> {
             return;
         }
         self.radios[i].down = now_down;
-        if self.obs.wants(ObsLevel::Full) {
+        if self.obs.enabled() {
             self.obs.inc("engine.fault_edges");
             let snap = obs_snap(&self.metrics, node);
             let t = self.now.as_nanos();
@@ -671,7 +667,7 @@ impl<A: Application> Simulator<A> {
         }
         if now_down {
             self.metrics.note_down();
-            if self.trace.wants(TraceLevel::Metrics) {
+            if self.trace.enabled() {
                 self.trace.record(self.now, TraceKind::NodeDown { node });
             }
             // Battery pulled: queued frames and backoff state are lost.
@@ -683,7 +679,7 @@ impl<A: Application> Simulator<A> {
             st.attempts = 0;
         } else {
             self.metrics.note_up();
-            if self.trace.wants(TraceLevel::Metrics) {
+            if self.trace.enabled() {
                 self.trace.record(self.now, TraceKind::NodeUp { node });
             }
         }
@@ -702,7 +698,7 @@ impl<A: Application> Simulator<A> {
                 neighbors: self.deployment.neighbors(node),
                 rng: &mut self.rngs[node.index()],
                 seed: self.seed,
-                metrics: &mut self.metrics,
+                metrics: &self.metrics,
                 obs: &mut self.obs,
                 commands: &mut commands,
                 next_timer_id: &mut self.next_timer_id,
@@ -717,20 +713,20 @@ impl<A: Application> Simulator<A> {
                     size_bytes,
                 } => self.enqueue_frame(node, dest, payload, size_bytes),
                 Command::SetTimer { at, token, id } => {
-                    if self.obs.wants(ObsLevel::Full) {
+                    if self.obs.enabled() {
                         self.obs.inc("engine.timers_set");
                     }
                     self.live_timers.insert(id);
                     self.schedule(at.max(self.now), EventKind::Timer { node, token, id });
                 }
                 Command::CancelTimer { id } => {
-                    if self.obs.wants(ObsLevel::Full) {
+                    if self.obs.enabled() {
                         self.obs.inc("engine.timers_cancelled");
                     }
                     self.live_timers.remove(id);
                 }
                 Command::TraceNote { code } => {
-                    if self.trace.wants(TraceLevel::Metrics) {
+                    if self.trace.enabled() {
                         self.trace
                             .record(self.now, TraceKind::AdversaryAction { node, code });
                     }
@@ -789,10 +785,10 @@ impl<A: Application> Simulator<A> {
                 st.queue.pop_front();
                 st.attempts = 0;
                 self.metrics.node_mut(node).mac_drops += 1;
-                if self.trace.wants(TraceLevel::Metrics) {
+                if self.trace.enabled() {
                     self.trace.record(now, TraceKind::MacDrop { node });
                 }
-                if self.obs.wants(ObsLevel::Full) {
+                if self.obs.enabled() {
                     self.obs.inc("engine.mac_drops");
                 }
                 if self.mac[node.index()].queue.is_empty() {
@@ -802,7 +798,7 @@ impl<A: Application> Simulator<A> {
                 }
                 return;
             }
-            if self.obs.wants(ObsLevel::Full) {
+            if self.obs.enabled() {
                 self.obs.inc("engine.mac_defers");
             }
             let window = mac_cfg.backoff_window(st.attempts);
@@ -826,7 +822,7 @@ impl<A: Application> Simulator<A> {
             nm.bytes_sent += on_air;
             nm.energy_tx_nj += on_air as f64 * self.config.energy.tx_nj_per_byte;
         }
-        if self.trace.wants(TraceLevel::Full) {
+        if self.trace.enabled() {
             self.trace.record(
                 now,
                 TraceKind::FrameSent {
@@ -884,7 +880,7 @@ impl<A: Application> Simulator<A> {
     /// and traces it.
     fn lose(&mut self, node: NodeId, seq: u64, cause: LossCause) {
         *self.metrics.node_mut(node).lost_mut(cause) += 1;
-        if self.trace.wants(TraceLevel::Full) {
+        if self.trace.enabled() {
             self.trace
                 .record(self.now, TraceKind::FrameLost { node, seq, cause });
         }
@@ -897,7 +893,7 @@ impl<A: Application> Simulator<A> {
         let start = self.now - self.config.radio.airtime(frame.size_bytes);
         let on_air = self.config.radio.on_air_bytes(frame.size_bytes) as u64;
         let rx_energy = on_air as f64 * self.config.energy.rx_nj_per_byte;
-        if self.obs.wants(ObsLevel::Full) {
+        if self.obs.enabled() {
             self.obs.inc("engine.delivery_batches");
             self.obs
                 .add("engine.delivery_receivers", receivers.len() as u64);
@@ -982,7 +978,7 @@ impl<A: Application> Simulator<A> {
                     payload: std::sync::Arc::clone(&frame.payload),
                     size_bytes: frame.size_bytes,
                 };
-                if self.obs.wants(ObsLevel::Full) {
+                if self.obs.enabled() {
                     self.obs.inc("engine.channel_reordered");
                 }
                 self.schedule(
@@ -993,7 +989,7 @@ impl<A: Application> Simulator<A> {
             }
             let duplicate = self.channel_plan.duplication();
             if duplicate > 0.0 && self.channel_rng.gen::<f64>() < duplicate {
-                if self.obs.wants(ObsLevel::Full) {
+                if self.obs.enabled() {
                     self.obs.inc("engine.channel_duplicated");
                 }
                 self.dispatch_frame(node, frame, on_air, rx_energy);
@@ -1023,7 +1019,7 @@ impl<A: Application> Simulator<A> {
                 nm.frames_overheard += 1;
             }
         }
-        if self.trace.wants(TraceLevel::Full) {
+        if self.trace.enabled() {
             self.trace.record(
                 self.now,
                 TraceKind::FrameDelivered {
@@ -1068,15 +1064,15 @@ impl<A: Application> Simulator<A> {
                 // Timers of a down node are lost, not deferred: a crashed
                 // node's schedule dies with it.
                 if live && !self.radios[node.index()].down {
-                    if self.trace.wants(TraceLevel::Full) {
+                    if self.trace.enabled() {
                         self.trace
                             .record(self.now, TraceKind::TimerFired { node, token });
                     }
-                    if self.obs.wants(ObsLevel::Full) {
+                    if self.obs.enabled() {
                         self.obs.inc("engine.timers_fired");
                     }
                     self.with_ctx(node, |app, ctx| app.on_timer(ctx, token));
-                } else if self.obs.wants(ObsLevel::Full) {
+                } else if self.obs.enabled() {
                     self.obs.inc("engine.timers_stale");
                 }
             }
@@ -1167,7 +1163,7 @@ impl<A: Application> Simulator<A> {
 const BATCH_RECEIVER_BUCKETS: &[u64] = &[1, 2, 4, 8, 16, 32, 64, 128];
 
 /// Accounting snapshot of `node` for engine spans. Call only under an
-/// [`Obs::wants`] guard so disabled runs never evaluate it.
+/// [`Obs::enabled`] guard so disabled runs never evaluate it.
 fn obs_snap(metrics: &Metrics, node: NodeId) -> SpanSnapshot {
     let nm = metrics.node(node);
     SpanSnapshot {

@@ -8,9 +8,8 @@
 //! Tracing is off by default: the buffer costs memory and a few
 //! nanoseconds per event, and the metrics counters answer most
 //! aggregate questions more cheaply. The sink is leveled
-//! ([`TraceLevel`]): `Off` records nothing, `Metrics` keeps only the
-//! sparse lifecycle events (node up/down, MAC drops), and `Full` keeps
-//! the complete per-frame record. The engine checks the level before
+//! ([`TraceLevel`]): `Off` records nothing and `Full` keeps the complete
+//! per-frame record. The engine checks [`Trace::enabled`] before
 //! building a [`TraceKind`], so disabled trace points cost one branch.
 //!
 //! Beyond the in-memory ring, two other consumers can be attached:
@@ -89,8 +88,8 @@ pub enum TraceKind {
         node: NodeId,
     },
     /// A compromised node exercised a malicious behaviour (see
-    /// `icpda::adversary`). Recorded at [`TraceLevel::Metrics`] — like
-    /// node up/down edges, these sparse causes explain counter anomalies.
+    /// `icpda::adversary`). Like node up/down edges, these sparse causes
+    /// explain counter anomalies.
     /// The `code` is the application-defined behaviour discriminant.
     AdversaryAction {
         /// The misbehaving node.
@@ -109,16 +108,13 @@ pub struct TraceEntry {
     pub kind: TraceKind,
 }
 
-/// How much the trace sink consumes. The engine's hot paths check the
-/// level *before* constructing a [`TraceKind`], so below the required
-/// level a trace point costs one branch and zero allocations/copies.
+/// How much the trace sink consumes. The engine's hot paths check
+/// [`Trace::enabled`] *before* constructing a [`TraceKind`], so a
+/// disabled trace point costs one branch and zero allocations/copies.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub enum TraceLevel {
     /// Record nothing (equivalent to a zero-capacity buffer).
     Off,
-    /// Record only the sparse events that explain metric counters:
-    /// node up/down edges and MAC drops. Per-frame traffic is skipped.
-    Metrics,
     /// Record every link-layer event (the default when a capacity is
     /// configured).
     #[default]
@@ -337,9 +333,9 @@ impl Trace {
         Trace::with_level(capacity, TraceLevel::Full)
     }
 
-    /// Creates a trace retaining at most `capacity` entries of events at
-    /// or below `level` ([`TraceLevel::Off`] or a zero capacity both
-    /// disable recording entirely).
+    /// Creates a trace retaining at most `capacity` entries at `level`
+    /// ([`TraceLevel::Off`] or a zero capacity both disable recording
+    /// entirely).
     ///
     /// Invariant: a disabled sink owns no buffer. The level is fixed at
     /// construction, so `capacity > 0` with `TraceLevel::Off` can never
@@ -369,18 +365,12 @@ impl Trace {
         self.capacity > 0 || self.stream.is_some() || self.flight.is_some()
     }
 
-    /// Whether recording is enabled at all.
+    /// Whether recording is enabled at all. The engine guards every
+    /// trace point with this so [`TraceKind`] values are never even
+    /// constructed for a disabled sink.
     #[must_use]
     pub fn enabled(&self) -> bool {
         self.sink_attached() && self.level > TraceLevel::Off
-    }
-
-    /// Whether events of class `level` have a consumer attached. The
-    /// engine guards every trace point with this so [`TraceKind`] values
-    /// are never even constructed for a disabled sink.
-    #[must_use]
-    pub fn wants(&self, level: TraceLevel) -> bool {
-        self.sink_attached() && self.level >= level
     }
 
     /// Attaches a streaming sink. Entries then flow to the file through
@@ -563,19 +553,18 @@ mod tests {
 
     #[test]
     fn levels_gate_recording() {
-        let mut tr = Trace::with_level(8, TraceLevel::Metrics);
+        let mut tr = Trace::with_level(8, TraceLevel::Full);
         assert!(tr.enabled());
-        assert!(tr.wants(TraceLevel::Metrics));
-        assert!(!tr.wants(TraceLevel::Full));
         let (t, k) = entry(1, 1);
         tr.record(t, k);
         assert_eq!(tr.len(), 1);
 
-        let off = Trace::with_level(8, TraceLevel::Off);
+        let mut off = Trace::with_level(8, TraceLevel::Off);
         assert!(!off.enabled());
-        assert!(!off.wants(TraceLevel::Metrics));
+        off.record(t, k);
+        assert!(off.is_empty());
         // Zero capacity disables even a Full-level sink.
-        assert!(!Trace::new(0).wants(TraceLevel::Metrics));
+        assert!(!Trace::new(0).enabled());
     }
 
     #[test]
@@ -592,7 +581,7 @@ mod tests {
         // Enabled sinks still reserve up front, capped at 2^20.
         assert!(Trace::new(16).entries.capacity() >= 16);
         assert!(
-            Trace::with_level(usize::MAX, TraceLevel::Metrics)
+            Trace::with_level(usize::MAX, TraceLevel::Full)
                 .entries
                 .capacity()
                 <= 1 << 21
@@ -761,7 +750,6 @@ mod tests {
         let mut streamed = Trace::new(0);
         streamed.set_stream(JsonlSink::create(&path).expect("sink"));
         assert!(streamed.enabled(), "stream alone enables recording");
-        assert!(streamed.wants(TraceLevel::Full));
         one_of_each(&mut streamed, 7, 100);
         assert!(streamed.is_empty(), "stream bypasses the ring");
         let (records, bytes, err) = streamed.finish_stream().expect("stream stats");

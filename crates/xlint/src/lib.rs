@@ -844,7 +844,7 @@ const XL007_SINK_FNS: [&str; 14] = [
     "row",
     "write_csv",
     "write_svg",
-    "write_dir",
+    "write_span_line",
     "spans_jsonl",
     "metrics_jsonl",
     "span_start",
@@ -873,7 +873,7 @@ const XL008_SINK_FNS: [&str; 16] = [
     "row",
     "write_csv",
     "write_svg",
-    "write_dir",
+    "write_span_line",
     "spans_jsonl",
     "metrics_jsonl",
     "span_start",
