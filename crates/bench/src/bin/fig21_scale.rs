@@ -5,13 +5,13 @@
 //! fig21_scale [--threads N] [--quick] [--obs-stream DIR] [--capture-only]
 //! ```
 //!
-//! * `--quick`    drop the 50k point and run one trial per size (CI)
+//! * `--quick`    drop the 50k point and run one trial per size
 //! * `--obs-stream DIR` additionally stream one fully instrumented run
 //!   at the largest configured size (spans + full event trace + engine
 //!   profile) through the bounded-memory exporter into DIR
 //! * `--capture-only` skip the sweep and run just the `--obs-stream`
 //!   capture — the process's peak RSS then measures the streaming
-//!   exporter alone, which is what the obs-stream-smoke CI gate checks
+//!   exporter alone, which is what CI's RSS ceiling checks
 
 use icpda_bench::experiments::fig21_scale::{self, ScaleOptions};
 use icpda_bench::parallel;

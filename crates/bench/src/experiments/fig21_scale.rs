@@ -27,8 +27,9 @@ use wsn_sim::profile::peak_rss_bytes;
 /// The size axis of the full sweep.
 pub const SCALE_SIZES: [usize; 4] = [600, 2_000, 10_000, 50_000];
 
-/// The reduced CI axis (`--quick`): everything but the 50k point, which
-/// alone costs more than the rest of the sweep combined.
+/// The reduced axis (`--quick`): everything but the 50k point, which
+/// alone costs more than the rest of the sweep combined. Its largest
+/// size is the N=10k capture CI's RSS ceiling gates.
 pub const QUICK_SIZES: [usize; 3] = [600, 2_000, 10_000];
 
 /// Independent base stations in the multi-BS variant.
@@ -37,14 +38,14 @@ const BS_TILES: usize = 4;
 /// Options for [`run_with`]: the `fig21_scale` binary's knobs.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ScaleOptions {
-    /// Use [`QUICK_SIZES`] with one trial per point (CI smoke).
+    /// Use [`QUICK_SIZES`] with one trial per point.
     pub quick: bool,
 }
 
 /// Seeded trials per size point.
 fn trials_for(n: usize, quick: bool) -> u64 {
-    // One trial in CI and at the 50k point (which alone dominates the
-    // sweep's wall-clock); two seeds everywhere else.
+    // One trial under `--quick` and at the 50k point (which alone
+    // dominates the sweep's wall-clock); two seeds everywhere else.
     if quick || n >= 50_000 {
         1
     } else {
@@ -239,7 +240,7 @@ pub fn run_with(opts: ScaleOptions) -> std::io::Result<()> {
     // deterministic-artefact discipline XL008 enforces).
     if let Some(bytes) = peak_rss_bytes() {
         eprintln!(
-            "peak-rss: {:.0} MB over the fig21_scale sweep (host fact, stderr only)",
+            "peak-rss: {:.0} MiB over the fig21_scale sweep (host fact, stderr only)",
             bytes as f64 / (1024.0 * 1024.0)
         );
     }
@@ -305,7 +306,7 @@ pub fn capture_stream(opts: ScaleOptions, dir: &std::path::Path) -> Result<(), S
     );
     if let Some(bytes) = peak_rss_bytes() {
         eprintln!(
-            "peak-rss: {:.0} MB over the streamed capture (host fact, stderr only)",
+            "peak-rss: {:.0} MiB over the streamed capture (host fact, stderr only)",
             bytes as f64 / (1024.0 * 1024.0)
         );
     }

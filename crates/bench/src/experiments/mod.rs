@@ -1,5 +1,6 @@
 //! One module per evaluation artefact (table/figure). Each exposes
-//! `run()`, which prints the regenerated table and writes its CSV.
+//! `run()`, which prints the regenerated table and writes its CSV
+//! (`render_topology` writes two SVGs instead).
 
 pub mod fig10_ablation;
 pub mod fig11_adaptive;
@@ -20,6 +21,7 @@ pub mod fig5_integrity;
 pub mod fig6_clusters;
 pub mod fig7_latency;
 pub mod fig9_energy;
+pub mod render_topology;
 pub mod tab1_degree;
 pub mod tab8_messages;
 
@@ -52,11 +54,12 @@ pub fn tag_round(n: usize, seed: u64, function: AggFunction) -> TagRunOutcome {
     )
 }
 
-/// Runs every experiment in order (the `run_all` binary).
+/// Runs every experiment in order (the `run_all` binary), so every
+/// file under `results/` is regenerated.
 ///
 /// # Errors
 ///
-/// Propagates the first experiment failure (CSV write errors).
+/// Propagates the first experiment failure (CSV or SVG write errors).
 pub fn run_all() -> std::io::Result<()> {
     tab1_degree::run()?;
     fig2_overhead::run()?;
@@ -78,5 +81,6 @@ pub fn run_all() -> std::io::Result<()> {
     fig18_churn::run()?;
     fig19_adversary::run()?;
     fig20_reliability::run()?;
-    fig21_scale::run()
+    fig21_scale::run()?;
+    render_topology::run()
 }

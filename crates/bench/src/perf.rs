@@ -263,12 +263,21 @@ pub fn run_matrix(label: &str, config: PerfConfig) -> BenchReport {
     }
 }
 
-/// Short git revision of the working tree, or `"unknown"` outside a
-/// repository — recorded in bench reports and observability manifests.
+/// Short git revision of HEAD, read at run time, in the checkout this
+/// binary was built from, or `"unknown"` when that source tree is not a
+/// git checkout — recorded in bench reports and observability manifests.
+/// Git runs in the crate's source directory, not the process's working
+/// directory, so a run started anywhere records its own build tree.
 #[must_use]
 pub fn git_rev() -> String {
     std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
+        .args([
+            "-C",
+            env!("CARGO_MANIFEST_DIR"),
+            "rev-parse",
+            "--short",
+            "HEAD",
+        ])
         .output()
         .ok()
         .filter(|out| out.status.success())

@@ -6,8 +6,8 @@
 //! `manifest.json` records the thread count. The in-memory renderers
 //! (the references) and the bounded-memory streaming exporter share one
 //! renderer per record kind, so their outputs must also agree byte for
-//! byte — that identity is asserted here. CI's `obs-stream-smoke` gates
-//! the thread-count identity again at N=2000.
+//! byte — that identity is asserted here. CI's `check` job gates the
+//! thread-count identity again at N=2000.
 
 use agg::AggFunction;
 use icpda::{IcpdaConfig, IcpdaRun};

@@ -109,7 +109,7 @@ fn ms(ns: u64) -> f64 {
 pub fn render_profile(run: &ProfileRun, top: usize) -> String {
     let mut out = String::new();
     let rss = match run.rss_hwm_bytes {
-        Some(b) => format!("{:.1} MB", b as f64 / 1e6),
+        Some(b) => format!("{:.1} MiB", b as f64 / (1024.0 * 1024.0)),
         None => "unknown".to_string(),
     };
     let _ = writeln!(
@@ -225,7 +225,7 @@ mod tests {
     fn report_ranks_sections_and_lists_gauges() {
         let run = parse_profile(SAMPLE).expect("parse");
         let text = render_profile(&run, 3);
-        assert!(text.contains("RSS high-water 52.4 MB"), "{text}");
+        assert!(text.contains("RSS high-water 50.0 MiB"), "{text}");
         // dispatch.delivery (9ms) outranks next_event (8ms).
         let dispatch = text.find("engine.dispatch.delivery").expect("dispatch row");
         let next = text.find("engine.next_event").expect("next_event row");
