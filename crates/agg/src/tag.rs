@@ -243,6 +243,11 @@ impl Application for TagNode {
         }
     }
 
+    /// TAG does no monitoring: overheard frames are never read.
+    fn overhears(&self, _frame: &Frame<TagMsg>) -> bool {
+        false
+    }
+
     fn on_timer(&mut self, ctx: &mut Context<'_, TagMsg>, token: TimerToken) {
         match token {
             TIMER_REPORT => {

@@ -216,17 +216,21 @@ fn fig20_retransmits(csv: &Csv) -> Result<(), String> {
 
 /// At the bursty 20 % operating point ARQ beats no-ARQ and recovers at
 /// least 85 % of the lossless row's accuracy. Rows are read in order, and
-/// the lossless accuracy is that of the last loss-0 row above; without
-/// one it is 0, as in the shell gate this replaces.
+/// the lossless accuracy is that of the last loss-0 row above; a (0.2,
+/// 0.8) row with no loss-0 row above it fails, since it has nothing to
+/// recover against.
 fn fig20_arq_recovers(csv: &Csv) -> Result<(), String> {
-    let (mut lossless, mut rows) = (0.0, 0);
+    let (mut lossless, mut rows) = (None, 0);
     for row in csv.rows() {
         let loss = row.num("loss rate")?;
         if loss == 0.0 {
-            lossless = row.num("ARQ acc")?;
+            lossless = Some(row.num("ARQ acc")?);
         }
         if loss == 0.2 && row.num("burstiness")? == 0.8 {
             rows += 1;
+            let Some(lossless) = lossless else {
+                return Err(row.error("no lossless (loss 0) row above it"));
+            };
             let arq = row.num("ARQ acc")?;
             row.reject_if(
                 arq <= row.num("no-ARQ acc")? || arq < 0.85 * lossless,
@@ -569,6 +573,10 @@ fn fig20_claims_reject_idle_retries_and_a_weak_arq_arm() {
             ("0.000,0.000,1.001,", "0.000,0.000,1.200,"),
             (
                 "0.200,0.800,0.932,0.106,0.923,0.546,0.546,0.298,22.206,5944.500,0.700\n",
+                "",
+            ),
+            (
+                "0.000,0.000,1.001,0.004,1.000,0.993,0.993,0.961,21.750,6560.200,0.000\n",
                 "",
             ),
         ],

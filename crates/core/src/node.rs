@@ -2104,6 +2104,12 @@ impl Application for IcpdaNode {
         }
     }
 
+    /// Crash recovery reads every overheard frame as liveness evidence
+    /// (`note_frame_from`); otherwise only upstream reports are audited.
+    fn overhears(&self, frame: &Frame<IcpdaMsg>) -> bool {
+        self.config.crash_recovery || matches!(*frame.payload, IcpdaMsg::Upstream { .. })
+    }
+
     fn on_overhear(&mut self, ctx: &mut Context<'_, IcpdaMsg>, frame: &Frame<IcpdaMsg>) {
         if self.config.crash_recovery {
             self.note_frame_from(frame.src);

@@ -11,7 +11,7 @@
 //! [`spans_jsonl`] renders a whole registry in memory; it is the
 //! reference the streaming exporter's tests compare against.
 
-use crate::json::Json;
+use crate::json::{escape_into, push_u64, Json};
 use crate::Obs;
 use std::fmt::Write as _;
 
@@ -126,13 +126,20 @@ pub fn check_schema_version(doc: &Json, what: &str) -> Result<(), String> {
 /// construction.
 pub fn write_span_line(out: &mut String, s: &crate::Span) {
     out.push_str("{\"name\":\"");
-    crate::json::escape_into(out, s.name);
-    let _ = write!(
-        out,
-        "\",\"node\":{},\"start_ns\":{},\"end_ns\":{},\"messages\":{},\"bytes\":{},\"energy_nj\":{}}}",
-        s.node, s.start_ns, s.end_ns, s.messages, s.bytes, s.energy_nj
-    );
-    out.push('\n');
+    escape_into(out, s.name);
+    out.push_str("\",\"node\":");
+    push_u64(out, u64::from(s.node));
+    out.push_str(",\"start_ns\":");
+    push_u64(out, s.start_ns);
+    out.push_str(",\"end_ns\":");
+    push_u64(out, s.end_ns);
+    out.push_str(",\"messages\":");
+    push_u64(out, s.messages);
+    out.push_str(",\"bytes\":");
+    push_u64(out, s.bytes);
+    out.push_str(",\"energy_nj\":");
+    push_u64(out, s.energy_nj);
+    out.push_str("}\n");
 }
 
 /// Renders `spans.jsonl`: one compact object per completed span, in
@@ -187,6 +194,7 @@ pub fn metrics_jsonl(obs: &Obs) -> String {
 mod tests {
     use super::*;
     use crate::{ObsLevel, SpanSnapshot};
+    use proptest::prelude::*;
 
     fn sample_obs() -> Obs {
         let mut obs = Obs::new(ObsLevel::Full);
@@ -259,6 +267,60 @@ mod tests {
             })
             .collect();
         assert_eq!(kinds, ["counter", "gauge", "histogram"]);
+    }
+
+    /// The `write!` span renderer [`write_span_line`] replaced, kept as
+    /// its reference.
+    fn reference_span_line(out: &mut String, s: &crate::Span) {
+        out.push_str("{\"name\":\"");
+        escape_into(out, s.name);
+        let _ = write!(
+            out,
+            "\",\"node\":{},\"start_ns\":{},\"end_ns\":{},\"messages\":{},\"bytes\":{},\"energy_nj\":{}}}",
+            s.node, s.start_ns, s.end_ns, s.messages, s.bytes, s.energy_nj
+        );
+        out.push('\n');
+    }
+
+    /// Integers where a decimal writer's digit handling changes: one and
+    /// two digits, the first three-digit value, 2^32 − 1 and `u64::MAX`.
+    const EDGES: [u64; 7] = [0, 9, 10, 99, 100, (1 << 32) - 1, u64::MAX];
+
+    /// An edge value or a uniform one, equally often.
+    fn int() -> impl Strategy<Value = u64> {
+        (any::<bool>(), 0..EDGES.len(), any::<u64>())
+            .prop_map(|(edge, i, n)| if edge { EDGES[i] } else { n })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// `write_span_line` renders every span byte for byte as the
+        /// `write!` renderer did.
+        #[test]
+        fn span_line_matches_the_write_reference(
+            name in 0..4usize,
+            node in int(),
+            start_ns in int(),
+            end_ns in int(),
+            messages in int(),
+            bytes in int(),
+            energy_nj in int(),
+        ) {
+            let span = crate::Span {
+                name: ["phase.aggregation", "q\"uote\\", "tab\tline\n", "\u{1}ctl"][name],
+                node: u32::try_from(node).unwrap_or(u32::MAX),
+                start_ns,
+                end_ns,
+                messages,
+                bytes,
+                energy_nj,
+            };
+            let (mut got, mut want) = (String::new(), String::new());
+            write_span_line(&mut got, &span);
+            reference_span_line(&mut want, &span);
+            prop_assert_eq!(got, want);
+        }
     }
 
     #[test]

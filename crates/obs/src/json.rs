@@ -195,6 +195,44 @@ pub fn escape_into(out: &mut String, s: &str) {
     }
 }
 
+/// `"00" "01" … "99"`: the two decimal digits of every value below 100.
+const DIGIT_PAIRS: &[u8; 200] = b"\
+    0001020304050607080910111213141516171819\
+    2021222324252627282930313233343536373839\
+    4041424344454647484950515253545556575859\
+    6061626364656667686970717273747576777879\
+    8081828384858687888990919293949596979899";
+
+/// Appends the decimal form of `n` to `out` — the bytes `write!(out,
+/// "{n}")` produces, without a trip through `core::fmt` and without
+/// allocating. The `trace.jsonl` and `spans.jsonl` line renderers call it
+/// once per integer field, which at a full trace is millions of calls a
+/// run.
+pub fn push_u64(out: &mut String, mut n: u64) {
+    // u64::MAX has 20 digits; fill the buffer from the right, two
+    // digits at a time.
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    while n >= 100 {
+        let pair = (n % 100) as usize * 2;
+        n /= 100;
+        at -= 2;
+        digits[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+    if n >= 10 {
+        let pair = n as usize * 2;
+        at -= 2;
+        digits[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    } else {
+        at -= 1;
+        digits[at] = b'0' + n as u8;
+    }
+    // Only ASCII digits were written, so the check always passes.
+    if let Ok(text) = std::str::from_utf8(&digits[at..]) {
+        out.push_str(text);
+    }
+}
+
 /// Parses a JSON document.
 ///
 /// # Errors
@@ -417,6 +455,20 @@ mod tests {
         assert_eq!(arr[1].as_f64(), Some(-2.5));
         assert_eq!(arr[2].as_f64(), Some(1000.0));
         assert_eq!(arr[3].as_str(), Some("A"));
+    }
+
+    #[test]
+    fn push_u64_prints_what_display_prints() {
+        let mut edges = vec![0, 9, 10, 99, 100, 101, 999, 1000, u64::from(u32::MAX)];
+        edges.extend((1..20).map(|p| 10u64.pow(p) - 1));
+        edges.extend((1..20).map(|p| 10u64.pow(p)));
+        edges.push(u64::MAX);
+        let mut out = String::from("x");
+        for n in edges {
+            out.truncate(1);
+            push_u64(&mut out, n);
+            assert_eq!(out, format!("x{n}"));
+        }
     }
 
     #[test]

@@ -51,9 +51,25 @@ pub trait Application {
     );
 
     /// A frame addressed to *another* node was overheard (promiscuous
-    /// mode). The integrity layer's peer monitoring lives here.
+    /// mode). The integrity layer's peer monitoring lives here. Called
+    /// only for frames [`Application::overhears`] accepts.
     fn on_overhear(&mut self, ctx: &mut Context<'_, Self::Message>, frame: &Frame<Self::Message>) {
         let _ = (ctx, frame);
+    }
+
+    /// Whether [`Application::on_overhear`] reads `frame`. Every frame
+    /// fans out to each neighbour in range, so most receptions are
+    /// overheard ones; returning `false` lets the engine skip building a
+    /// [`Context`] and calling `on_overhear` for them. It skips nothing
+    /// else: metrics (`frames_overheard`, receive energy) and the
+    /// `frame_delivered` trace entry count every reception either way.
+    ///
+    /// Must answer exactly as `on_overhear` would act: `false` only for
+    /// a frame on which `on_overhear` would do nothing. The default
+    /// accepts every frame.
+    fn overhears(&self, frame: &Frame<Self::Message>) -> bool {
+        let _ = frame;
+        true
     }
 
     /// A timer set via [`Context::set_timer`] fired.

@@ -17,7 +17,8 @@
 //! * **Half-duplex** — a node that is transmitting cannot receive.
 //! * **Promiscuous overhearing** — every successfully received frame is
 //!   delivered: as [`Application::on_message`] if addressed to the node,
-//!   as [`Application::on_overhear`] otherwise.
+//!   as [`Application::on_overhear`] otherwise (for the frames
+//!   [`Application::overhears`] accepts; metrics and trace count all).
 
 use crate::app::{Application, Command, Context, TimerId, TimerToken};
 use crate::arena::FrameArena;
@@ -1001,6 +1002,8 @@ impl<A: Application> Simulator<A> {
     /// Hands one surviving reception to the application, with metrics and
     /// trace accounting. Split out of [`Simulator::deliver_frame`] so
     /// duplicated and reordered receptions share the exact same path.
+    /// The accounting covers every reception; an overheard one reaches
+    /// the application only if [`Application::overhears`] accepts it.
     fn dispatch_frame(
         &mut self,
         node: NodeId,
@@ -1032,7 +1035,7 @@ impl<A: Application> Simulator<A> {
         if addressed {
             let src = frame.src;
             self.with_ctx(node, |app, ctx| app.on_message(ctx, src, &frame.payload));
-        } else {
+        } else if self.apps[node.index()].overhears(frame) {
             self.with_ctx(node, |app, ctx| app.on_overhear(ctx, frame));
         }
     }

@@ -27,9 +27,9 @@ use crate::frame::Destination;
 use crate::ids::NodeId;
 use crate::metrics::LossCause;
 use crate::time::SimTime;
+use icpda_obs::json::push_u64;
 use icpda_obs::stream::JsonlSink;
 use std::collections::VecDeque;
-use std::fmt::Write as _;
 
 /// What happened.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -134,67 +134,58 @@ pub fn loss_cause_str(cause: LossCause) -> &'static str {
     }
 }
 
+/// Appends `key` (a literal such as `,"seq":`) and then `n` in decimal.
+fn push_field(out: &mut String, key: &str, n: u64) {
+    out.push_str(key);
+    push_u64(out, n);
+}
+
 fn write_entry_fields(out: &mut String, e: &TraceEntry) {
-    let t = e.time.as_nanos();
-    let _ = match e.kind {
-        TraceKind::FrameSent {
-            src,
-            dest,
-            seq,
-            bytes,
-        } => {
-            let _ = write!(
-                out,
-                "\"t\":{t},\"kind\":\"frame_sent\",\"src\":{},\"dest\":",
-                src.as_u32()
-            );
-            match dest {
-                Destination::Unicast(d) => write!(out, "{}", d.as_u32()),
-                Destination::Broadcast => write!(out, "\"bcast\""),
-            }
-            .and_then(|()| write!(out, ",\"seq\":{seq},\"bytes\":{bytes}"))
+    // Every entry opens with its time, kind and node (`src` for a send);
+    // the variant's own fields follow.
+    let (kind, node) = match e.kind {
+        TraceKind::FrameSent { src, .. } => (",\"kind\":\"frame_sent\",\"src\":", src),
+        TraceKind::FrameDelivered { node, .. } => (",\"kind\":\"frame_delivered\",\"node\":", node),
+        TraceKind::FrameLost { node, .. } => (",\"kind\":\"frame_lost\",\"node\":", node),
+        TraceKind::MacDrop { node } => (",\"kind\":\"mac_drop\",\"node\":", node),
+        TraceKind::TimerFired { node, .. } => (",\"kind\":\"timer_fired\",\"node\":", node),
+        TraceKind::NodeDown { node } => (",\"kind\":\"node_down\",\"node\":", node),
+        TraceKind::NodeUp { node } => (",\"kind\":\"node_up\",\"node\":", node),
+        TraceKind::AdversaryAction { node, .. } => {
+            (",\"kind\":\"adversary_action\",\"node\":", node)
         }
-        TraceKind::FrameDelivered {
-            node,
-            seq,
-            addressed,
-        } => write!(
-            out,
-            "\"t\":{t},\"kind\":\"frame_delivered\",\"node\":{},\"seq\":{seq},\"addressed\":{addressed}",
-            node.as_u32()
-        ),
-        TraceKind::FrameLost { node, seq, cause } => write!(
-            out,
-            "\"t\":{t},\"kind\":\"frame_lost\",\"node\":{},\"seq\":{seq},\"cause\":\"{}\"",
-            node.as_u32(),
-            loss_cause_str(cause)
-        ),
-        TraceKind::MacDrop { node } => write!(
-            out,
-            "\"t\":{t},\"kind\":\"mac_drop\",\"node\":{}",
-            node.as_u32()
-        ),
-        TraceKind::TimerFired { node, token } => write!(
-            out,
-            "\"t\":{t},\"kind\":\"timer_fired\",\"node\":{},\"token\":{token}",
-            node.as_u32()
-        ),
-        TraceKind::NodeDown { node } => write!(
-            out,
-            "\"t\":{t},\"kind\":\"node_down\",\"node\":{}",
-            node.as_u32()
-        ),
-        TraceKind::NodeUp { node } => write!(
-            out,
-            "\"t\":{t},\"kind\":\"node_up\",\"node\":{}",
-            node.as_u32()
-        ),
-        TraceKind::AdversaryAction { node, code } => write!(
-            out,
-            "\"t\":{t},\"kind\":\"adversary_action\",\"node\":{},\"code\":{code}",
-            node.as_u32()
-        ),
     };
+    push_field(out, "\"t\":", e.time.as_nanos());
+    push_field(out, kind, node.as_u32().into());
+    match e.kind {
+        TraceKind::FrameSent {
+            dest, seq, bytes, ..
+        } => {
+            match dest {
+                Destination::Unicast(d) => push_field(out, ",\"dest\":", d.as_u32().into()),
+                Destination::Broadcast => out.push_str(",\"dest\":\"bcast\""),
+            }
+            push_field(out, ",\"seq\":", seq);
+            push_field(out, ",\"bytes\":", bytes as u64);
+        }
+        TraceKind::FrameDelivered { seq, addressed, .. } => {
+            push_field(out, ",\"seq\":", seq);
+            out.push_str(if addressed {
+                ",\"addressed\":true"
+            } else {
+                ",\"addressed\":false"
+            });
+        }
+        TraceKind::FrameLost { seq, cause, .. } => {
+            push_field(out, ",\"seq\":", seq);
+            out.push_str(",\"cause\":\"");
+            out.push_str(loss_cause_str(cause));
+            out.push('"');
+        }
+        TraceKind::TimerFired { token, .. } => push_field(out, ",\"token\":", token),
+        TraceKind::AdversaryAction { code, .. } => push_field(out, ",\"code\":", code.into()),
+        TraceKind::MacDrop { .. } | TraceKind::NodeDown { .. } | TraceKind::NodeUp { .. } => {}
+    }
 }
 
 /// Appends one `trace.jsonl` line (newline included) for `e` to `out`.
@@ -212,7 +203,8 @@ pub fn write_entry_line(out: &mut String, e: &TraceEntry) {
 /// Like [`write_entry_line`] but with a leading `round` field — the
 /// flight-recorder dump format.
 pub fn write_entry_line_in_round(out: &mut String, round: u32, e: &TraceEntry) {
-    let _ = write!(out, "{{\"round\":{round},");
+    push_field(out, "{\"round\":", round.into());
+    out.push(',');
     write_entry_fields(out, e);
     out.push_str("}\n");
 }
@@ -531,6 +523,8 @@ impl Drop for Trace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::fmt::Write as _;
 
     fn entry(t: u64, node: u32) -> (SimTime, TraceKind) {
         (
@@ -797,6 +791,188 @@ mod tests {
             f.rounds().next().expect("one round").1.len(),
             FLIGHT_ROUND_CAP
         );
+    }
+
+    /// The `write!` renderer [`write_entry_fields`] replaced, kept as its
+    /// reference.
+    fn reference_entry_fields(out: &mut String, e: &TraceEntry) {
+        let t = e.time.as_nanos();
+        let _ = match e.kind {
+            TraceKind::FrameSent {
+                src,
+                dest,
+                seq,
+                bytes,
+            } => {
+                let _ = write!(
+                    out,
+                    "\"t\":{t},\"kind\":\"frame_sent\",\"src\":{},\"dest\":",
+                    src.as_u32()
+                );
+                match dest {
+                    Destination::Unicast(d) => write!(out, "{}", d.as_u32()),
+                    Destination::Broadcast => write!(out, "\"bcast\""),
+                }
+                .and_then(|()| write!(out, ",\"seq\":{seq},\"bytes\":{bytes}"))
+            }
+            TraceKind::FrameDelivered {
+                node,
+                seq,
+                addressed,
+            } => write!(
+                out,
+                "\"t\":{t},\"kind\":\"frame_delivered\",\"node\":{},\"seq\":{seq},\"addressed\":{addressed}",
+                node.as_u32()
+            ),
+            TraceKind::FrameLost { node, seq, cause } => write!(
+                out,
+                "\"t\":{t},\"kind\":\"frame_lost\",\"node\":{},\"seq\":{seq},\"cause\":\"{}\"",
+                node.as_u32(),
+                loss_cause_str(cause)
+            ),
+            TraceKind::MacDrop { node } => write!(
+                out,
+                "\"t\":{t},\"kind\":\"mac_drop\",\"node\":{}",
+                node.as_u32()
+            ),
+            TraceKind::TimerFired { node, token } => write!(
+                out,
+                "\"t\":{t},\"kind\":\"timer_fired\",\"node\":{},\"token\":{token}",
+                node.as_u32()
+            ),
+            TraceKind::NodeDown { node } => write!(
+                out,
+                "\"t\":{t},\"kind\":\"node_down\",\"node\":{}",
+                node.as_u32()
+            ),
+            TraceKind::NodeUp { node } => write!(
+                out,
+                "\"t\":{t},\"kind\":\"node_up\",\"node\":{}",
+                node.as_u32()
+            ),
+            TraceKind::AdversaryAction { node, code } => write!(
+                out,
+                "\"t\":{t},\"kind\":\"adversary_action\",\"node\":{},\"code\":{code}",
+                node.as_u32()
+            ),
+        };
+    }
+
+    /// Integers where a decimal writer's digit handling changes: one and
+    /// two digits, the first three-digit value, 2^32 − 1 and `u64::MAX`.
+    const EDGES: [u64; 7] = [0, 9, 10, 99, 100, (1 << 32) - 1, u64::MAX];
+
+    const CAUSES: [LossCause; 6] = [
+        LossCause::Collision,
+        LossCause::Stochastic,
+        LossCause::HalfDuplex,
+        LossCause::MacDrop,
+        LossCause::ReceiverDown,
+        LossCause::Corrupt,
+    ];
+
+    /// `n` in a narrower field, saturating at the field's maximum.
+    fn narrow<T: TryFrom<u64>>(n: u64, max: T) -> T {
+        T::try_from(n).unwrap_or(max)
+    }
+
+    /// Trace variant `variant % 8` with its integer fields taken from
+    /// `ints` and its flag, cause and destination from `pick` (every
+    /// combination of the three within `0..12`).
+    fn kind(variant: usize, ints: [u64; 4], pick: usize) -> TraceKind {
+        let [a, b, c, d] = ints;
+        let node = NodeId::new(narrow(a, u32::MAX));
+        match variant % 8 {
+            0 => TraceKind::FrameSent {
+                src: node,
+                dest: if pick % 2 == 1 {
+                    Destination::Unicast(NodeId::new(narrow(d, u32::MAX)))
+                } else {
+                    Destination::Broadcast
+                },
+                seq: b,
+                bytes: narrow(c, usize::MAX),
+            },
+            1 => TraceKind::FrameDelivered {
+                node,
+                seq: b,
+                addressed: pick % 2 == 1,
+            },
+            2 => TraceKind::FrameLost {
+                node,
+                seq: b,
+                cause: CAUSES[pick % CAUSES.len()],
+            },
+            3 => TraceKind::MacDrop { node },
+            4 => TraceKind::TimerFired { node, token: b },
+            5 => TraceKind::NodeDown { node },
+            6 => TraceKind::NodeUp { node },
+            _ => TraceKind::AdversaryAction {
+                node,
+                code: narrow(b, u8::MAX),
+            },
+        }
+    }
+
+    /// Renders `e` as a trace line and as a flight line in `round`,
+    /// through the writers and through the `write!` references, and
+    /// asserts equal bytes.
+    fn assert_renders_as_reference(e: &TraceEntry, round: u32) {
+        let (mut got, mut want) = (String::new(), String::new());
+        write_entry_line(&mut got, e);
+        write_entry_line_in_round(&mut got, round, e);
+        want.push('{');
+        reference_entry_fields(&mut want, e);
+        want.push_str("}\n");
+        let _ = write!(want, "{{\"round\":{round},");
+        reference_entry_fields(&mut want, e);
+        want.push_str("}\n");
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn every_edge_value_renders_as_reference_in_every_field() {
+        for variant in 0..8 {
+            for &n in &EDGES {
+                for pick in 0..12 {
+                    let e = TraceEntry {
+                        time: SimTime::from_nanos(n),
+                        kind: kind(variant, [n; 4], pick),
+                    };
+                    assert_renders_as_reference(&e, narrow(n, u32::MAX));
+                }
+            }
+        }
+    }
+
+    /// An edge value or a uniform one, equally often.
+    fn int() -> impl Strategy<Value = u64> {
+        (any::<bool>(), 0..EDGES.len(), any::<u64>())
+            .prop_map(|(edge, i, n)| if edge { EDGES[i] } else { n })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// The integer writer renders random entries byte for byte as the
+        /// `write!` renderer did, edge values mixed into every field.
+        #[test]
+        fn random_entries_render_as_reference(
+            variant in 0..8usize,
+            t in int(),
+            a in int(),
+            b in int(),
+            c in int(),
+            d in int(),
+            pick in 0..12usize,
+            round in int(),
+        ) {
+            let e = TraceEntry {
+                time: SimTime::from_nanos(t),
+                kind: kind(variant, [a, b, c, d], pick),
+            };
+            assert_renders_as_reference(&e, narrow(round, u32::MAX));
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! | XL003 | protocol-exhaustiveness  | message-enum variants never matched in a handler; `*Error` variants never constructed |
 //! | XL004 | config-hygiene           | config struct fields never read outside their declaration |
 //! | XL005 | forbid-unsafe            | crate roots missing `#![forbid(unsafe_code)]`        |
-//! | XL006 | hot-path-alloc           | `.clone()` / `.to_vec()` / `format!` inside the engine's event-dispatch and frame-delivery functions |
+//! | XL006 | hot-path-alloc           | `.clone()` / `.to_vec()` / `format!` inside the engine's event-dispatch, frame-delivery and per-record trace-rendering functions |
 //! | XL007 | secret-flow              | `Debug`/`Display` on `[secrets]` types; any taint path from secret-typed data into a trace/obs/format/CSV sink not routed through a `[secrets].redact` / `.declassify` boundary |
 //! | XL008 | nondeterminism-flow      | interprocedural upgrade of XL001: `Instant`/`SystemTime`/thread-id taint reaching simulation state, trace output or results artifacts |
 //!
@@ -96,13 +96,14 @@ const UNSAFE_ROOTS: [&str; 11] = [
     "src/lib.rs",
 ];
 
-/// The engine's event-dispatch / frame-delivery hot path: one entry per
-/// file, listing the function bodies XL006 scans. These run once per
-/// simulated event (or per receiver), so a single `.clone()` there
-/// multiplies into millions of allocations per experiment sweep. A name
-/// that matches no `fn` in its file is reported as XL000, so a renamed
-/// hot function cannot silently drop out of the scan.
-const HOT_PATHS: [(&str, &[&str]); 5] = [
+/// The engine's event-dispatch / frame-delivery hot path and the
+/// per-record trace rendering path: one entry per file, listing the
+/// function bodies XL006 scans. These run once per simulated event (or
+/// per receiver), so a single `.clone()` there multiplies into millions
+/// of allocations per experiment sweep. A name that matches no `fn` in
+/// its file is reported as XL000, so a renamed hot function cannot
+/// silently drop out of the scan.
+const HOT_PATHS: [(&str, &[&str]); 8] = [
     (
         "crates/sim/src/sim.rs",
         &[
@@ -137,6 +138,18 @@ const HOT_PATHS: [(&str, &[&str]); 5] = [
         &["push", "pop", "peek_key", "maintain"],
     ),
     ("crates/sim/src/arena.rs", &["take", "recycle"]),
+    // A full trace renders one `trace.jsonl` line per engine event.
+    (
+        "crates/sim/src/trace.rs",
+        &[
+            "record",
+            "write_entry_line",
+            "write_entry_fields",
+            "push_field",
+        ],
+    ),
+    ("crates/obs/src/stream.rs", &["with_line"]),
+    ("crates/obs/src/json.rs", &["push_u64"]),
 ];
 
 /// Where message enums are defined (exhaustiveness rule input).
