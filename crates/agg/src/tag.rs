@@ -48,13 +48,14 @@ impl WireSize for TagMsg {
     }
 }
 
+/// Window allotted to the `Hello` flood before reporting starts.
+pub const FORMATION: SimDuration = SimDuration::from_secs(2);
+
 /// Timing and query parameters for a TAG run.
 #[derive(Clone, Copy, Debug)]
 pub struct TagConfig {
     /// The statistic to compute.
     pub function: AggFunction,
-    /// Window allotted to the `Hello` flood before reporting starts.
-    pub formation: SimDuration,
     /// Length of the reporting epoch, divided into per-depth slots.
     pub epoch: SimDuration,
     /// Deepest tree level the schedule accounts for; nodes deeper than
@@ -63,13 +64,12 @@ pub struct TagConfig {
 }
 
 impl TagConfig {
-    /// Defaults sized for the paper's 400 m × 400 m deployments: 2 s
-    /// formation, 10 s epoch, depth 20.
+    /// Defaults sized for the paper's 400 m × 400 m deployments: 10 s
+    /// epoch, depth 20 (after the 2 s [`FORMATION`] window).
     #[must_use]
     pub fn paper_default(function: AggFunction) -> Self {
         TagConfig {
             function,
-            formation: SimDuration::from_secs(2),
             epoch: SimDuration::from_secs(10),
             max_depth: 20,
         }
@@ -85,7 +85,7 @@ impl TagConfig {
     #[must_use]
     pub fn report_time(&self, level: u16) -> SimDuration {
         let depth_from_bottom = self.max_depth.saturating_sub(level.min(self.max_depth));
-        self.formation + self.slot() * u64::from(depth_from_bottom)
+        FORMATION + self.slot() * u64::from(depth_from_bottom)
     }
 
     /// [`TagConfig::report_time`] plus a uniformly random dispersion over
@@ -112,7 +112,7 @@ impl TagConfig {
     #[must_use]
     pub fn finish_time(&self) -> SimDuration {
         // One extra slot of slack for the level-1 reports to land.
-        self.formation + self.epoch + self.epoch / u64::from(self.max_depth)
+        FORMATION + self.epoch + self.epoch / u64::from(self.max_depth)
     }
 }
 
@@ -365,7 +365,7 @@ pub fn run_tag_with_channel(
         deployment.len(),
         "one reading per node (entry 0 unused)"
     );
-    let sensing = SimTime::ZERO + tag_config.formation;
+    let sensing = SimTime::ZERO + FORMATION;
     let eligible: Vec<u64> = readings
         .iter()
         .enumerate()

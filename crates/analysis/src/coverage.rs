@@ -7,7 +7,6 @@
 //! approximately Poisson with mean `λ = (n−1)πr²/A`, which yields the
 //! closed forms below.
 
-use std::f64::consts::PI;
 use wsn_sim::geometry::Region;
 
 /// Expected node degree `λ` for `n` nodes with range `r` on `region`
@@ -16,13 +15,6 @@ use wsn_sim::geometry::Region;
 #[must_use]
 pub fn expected_degree(n: usize, region: Region, radio_range: f64) -> f64 {
     region.expected_degree(n, radio_range)
-}
-
-/// Probability that a *non-head* node with degree `d` has no head
-/// neighbour: `(1 − p_c)^d`.
-#[must_use]
-pub fn orphan_probability_given_degree(p_c: f64, degree: usize) -> f64 {
-    (1.0 - p_c).powi(i32::try_from(degree).unwrap_or(i32::MAX))
 }
 
 /// Expected fraction of nodes with no head in their one-hop
@@ -47,28 +39,6 @@ pub fn participation_bound(p_c: f64, mean_degree: f64) -> f64 {
     1.0 - orphan_fraction(p_c, mean_degree)
 }
 
-/// Expected cluster size when heads are elected with probability `p_c`
-/// and every non-head joins one neighbouring head: `1/p_c` in the dense
-/// limit (every node finds a head; heads absorb `(1−p_c)/p_c` joiners on
-/// average).
-#[must_use]
-pub fn expected_cluster_size(p_c: f64) -> f64 {
-    if p_c <= 0.0 {
-        f64::INFINITY
-    } else {
-        1.0 / p_c
-    }
-}
-
-/// The density (nodes on the paper's 400 m × 400 m field at 50 m range)
-/// needed to reach a target mean degree — used to annotate the accuracy
-/// figure's "dense enough" threshold.
-#[must_use]
-pub fn nodes_for_degree(target_degree: f64, region: Region, radio_range: f64) -> usize {
-    let per_node = PI * radio_range * radio_range / region.area();
-    (target_degree / per_node).ceil() as usize + 1
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -81,15 +51,6 @@ mod tests {
         assert!((expected_degree(200, r, 50.0) - 9.77).abs() < 0.05);
         assert!((expected_degree(400, r, 50.0) - 19.58).abs() < 0.05);
         assert!((expected_degree(600, r, 50.0) - 29.4).abs() < 0.1);
-    }
-
-    #[test]
-    fn orphan_probability_decays_with_degree() {
-        assert!(orphan_probability_given_degree(0.25, 0) == 1.0);
-        let p5 = orphan_probability_given_degree(0.25, 5);
-        let p20 = orphan_probability_given_degree(0.25, 20);
-        assert!(p20 < p5);
-        assert!((p5 - 0.75f64.powi(5)).abs() < 1e-12);
     }
 
     #[test]
@@ -129,19 +90,5 @@ mod tests {
         let mc = f64::from(orphans) / f64::from(trials);
         let theory = orphan_fraction(p_c, lambda);
         assert!((mc - theory).abs() < 0.005, "mc {mc} vs theory {theory}");
-    }
-
-    #[test]
-    fn cluster_size_inverse_of_pc() {
-        assert_eq!(expected_cluster_size(0.25), 4.0);
-        assert_eq!(expected_cluster_size(0.0), f64::INFINITY);
-    }
-
-    #[test]
-    fn nodes_for_degree_inverts_expected_degree() {
-        let r = Region::paper_default();
-        let n = nodes_for_degree(18.0, r, 50.0);
-        assert!(expected_degree(n, r, 50.0) >= 18.0);
-        assert!(expected_degree(n - 5, r, 50.0) < 18.0);
     }
 }

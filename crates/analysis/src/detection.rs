@@ -34,30 +34,6 @@ pub fn detection_probability(monitors: usize, q: f64, a: f64) -> f64 {
     1.0 - (1.0 - q * a).powf(monitors as f64)
 }
 
-/// Expected number of qualified monitors for a *cluster-claim* forgery
-/// by the head of an `m`-cluster: the other members that recovered the
-/// aggregate themselves (each with probability `solve_rate`).
-///
-/// # Panics
-///
-/// Panics if `solve_rate` is not a probability (same validate-loudly
-/// policy as [`detection_probability`]; this used to clamp silently).
-#[must_use]
-pub fn qualified_members(m: usize, solve_rate: f64) -> f64 {
-    assert!(
-        (0.0..=1.0).contains(&solve_rate),
-        "solve_rate must be a probability"
-    );
-    (m.saturating_sub(1)) as f64 * solve_rate
-}
-
-/// Detection probability for an inconsistent-sum attack by a node with
-/// `degree` neighbours: every neighbour is qualified.
-#[must_use]
-pub fn inconsistent_sum_detection(degree: usize, q: f64, a: f64) -> f64 {
-    detection_probability(degree, q, a)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -77,27 +53,9 @@ mod tests {
     }
 
     #[test]
-    fn qualified_member_count() {
-        assert_eq!(qualified_members(4, 1.0), 3.0);
-        assert_eq!(qualified_members(4, 0.5), 1.5);
-        assert_eq!(qualified_members(1, 1.0), 0.0);
-    }
-
-    #[test]
-    fn dense_neighbourhood_catches_inconsistency() {
-        assert!(inconsistent_sum_detection(18, 0.9, 0.95) > 0.999);
-    }
-
-    #[test]
     #[should_panic]
     fn validates_probabilities() {
         let _ = detection_probability(3, 1.2, 0.5);
-    }
-
-    #[test]
-    #[should_panic(expected = "probability")]
-    fn qualified_members_validates_solve_rate() {
-        let _ = qualified_members(4, 1.5);
     }
 
     #[test]

@@ -28,20 +28,6 @@ pub fn icpda_result_time(schedule: &PhaseSchedule) -> SimDuration {
     schedule.upstream_time(1) + slot * 3 / 10
 }
 
-/// The latency premium iCPDA pays over TAG for the same epoch shape —
-/// its cluster-formation and share-exchange lead time.
-#[must_use]
-pub fn icpda_premium(
-    schedule: &PhaseSchedule,
-    tag_formation: SimDuration,
-    tag_epoch: SimDuration,
-    tag_depth: u16,
-) -> SimDuration {
-    let icpda = icpda_result_time(schedule);
-    let tag = tag_result_time(tag_formation, tag_epoch, tag_depth);
-    icpda.saturating_sub(tag)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -51,22 +37,5 @@ mod tests {
         // 2 s formation + 10 s epoch over 20 levels: last report ≈ 11.65 s.
         let t = tag_result_time(SimDuration::from_secs(2), SimDuration::from_secs(10), 20);
         assert!((t.as_secs_f64() - 11.65).abs() < 0.01, "{t}");
-    }
-
-    #[test]
-    fn icpda_model_is_the_tag_shape_shifted_by_the_cluster_phases() {
-        let s = PhaseSchedule::paper_default();
-        let icpda = icpda_result_time(&s);
-        let tag = tag_result_time(SimDuration::from_secs(2), SimDuration::from_secs(10), 20);
-        let premium = icpda_premium(
-            &s,
-            SimDuration::from_secs(2),
-            SimDuration::from_secs(10),
-            20,
-        );
-        assert_eq!(icpda.saturating_sub(tag), premium);
-        // The default schedules put the premium at ~10 s (measured in
-        // Figure 7 as 10.0 s flat across N).
-        assert!((premium.as_secs_f64() - 10.0).abs() < 0.5, "{premium}");
     }
 }

@@ -41,14 +41,6 @@ pub fn mixed_disclosure(p_x: f64, cluster_sizes: &[usize]) -> f64 {
     exposed / total_members as f64
 }
 
-/// Collusion resistance: the number of *compromised members* required to
-/// expose an honest member of an `m`-cluster (everyone else must
-/// collude) — the paper's threshold `m − 1`.
-#[must_use]
-pub fn collusion_threshold(m: usize) -> usize {
-    m.saturating_sub(1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -82,12 +74,6 @@ mod tests {
         let expect = (2.0 * 0.5 + 4.0 * 0.125) / 6.0;
         assert!((got - expect).abs() < 1e-12);
         assert_eq!(mixed_disclosure(0.5, &[]), 0.0);
-    }
-
-    #[test]
-    fn collusion_thresholds() {
-        assert_eq!(collusion_threshold(4), 3);
-        assert_eq!(collusion_threshold(1), 0);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 
 use crate::parallel::par_sweep;
 use crate::{f3, mean, paper_deployment, stddev, Table, TRIALS};
-use agg::tag::{run_tag_with_channel, TagConfig};
+use agg::tag::{run_tag_with_channel, TagConfig, FORMATION};
 use agg::AggFunction;
 use icpda::{IcpdaConfig, IcpdaRun};
 use wsn_sim::prelude::*;
@@ -80,7 +80,7 @@ pub fn run() -> std::io::Result<()> {
             .sum();
 
         let tag_config = TagConfig::paper_default(AggFunction::Count);
-        let tag_horizon = tag_config.formation + tag_config.epoch;
+        let tag_horizon = FORMATION + tag_config.epoch;
         let tag_plan = churn_plan(rate, tag_horizon, seed);
         let dep = paper_deployment(N, seed);
         let readings = agg::readings::count_readings(N);

@@ -12,6 +12,51 @@ use wsn_crypto::LinkAdversary;
 use wsn_sim::geometry::Region;
 use wsn_sim::prelude::*;
 
+// Each command's accepted flags; `icpda --help` documents every one of
+// them (the usage test in `main.rs` checks).
+
+/// Flags `icpda run` accepts.
+pub const RUN_FLAGS: &[&str] = &[
+    "nodes",
+    "n",
+    "seed",
+    "function",
+    "pc",
+    "integrity",
+    "loss",
+    "edge-loss",
+    "loss-alpha",
+    "burst",
+    "arq",
+    "rounds",
+    "churn",
+    "adversary",
+    "adversary-mode",
+    "obs-stream",
+];
+/// Flags `icpda sweep` accepts.
+pub const SWEEP_FLAGS: &[&str] = &["seeds", "function", "pc", "integrity", "threads"];
+/// Flags `icpda attack` accepts.
+pub const ATTACK_FLAGS: &[&str] = &[
+    "nodes",
+    "seed",
+    "seeds",
+    "mode",
+    "delta",
+    "attackers",
+    "session",
+    "function",
+    "pc",
+    "integrity",
+    "threads",
+];
+/// Flags `icpda privacy` accepts.
+pub const PRIVACY_FLAGS: &[&str] = &["nodes", "seed", "px", "adversaries", "pc"];
+/// Flags `icpda obs report` accepts.
+pub const OBS_REPORT_FLAGS: &[&str] = &["dir", "against", "warn-pct"];
+/// Flags `icpda obs profile` accepts.
+pub const OBS_PROFILE_FLAGS: &[&str] = &["dir", "top"];
+
 fn parse_function(args: &Args) -> Result<AggFunction, ParseArgsError> {
     match args.get("function").unwrap_or("count") {
         "count" => Ok(AggFunction::Count),
@@ -201,27 +246,7 @@ fn report_stream(out: &icpda::StreamOutcome) -> Result<(), ParseArgsError> {
 
 /// `icpda run`.
 pub fn run(args: &Args) -> Result<(), ParseArgsError> {
-    check_flags(
-        args,
-        &[
-            "nodes",
-            "n",
-            "seed",
-            "function",
-            "pc",
-            "integrity",
-            "loss",
-            "edge-loss",
-            "loss-alpha",
-            "burst",
-            "arq",
-            "rounds",
-            "churn",
-            "adversary",
-            "adversary-mode",
-            "obs-stream",
-        ],
-    )?;
+    check_flags(args, RUN_FLAGS)?;
     if args.get("n").is_some() && args.get("nodes").is_some() {
         return Err(ParseArgsError(
             "--n is an alias of --nodes; give only one".into(),
@@ -422,7 +447,7 @@ pub fn obs(args: &Args) -> Result<(), ParseArgsError> {
 }
 
 fn obs_report(args: &Args) -> Result<(), ParseArgsError> {
-    check_flags(args, &["dir", "against", "warn-pct"])?;
+    check_flags(args, OBS_REPORT_FLAGS)?;
     let dir = args
         .get("dir")
         .ok_or_else(|| ParseArgsError("obs report: --dir is required".into()))?;
@@ -445,7 +470,7 @@ fn obs_report(args: &Args) -> Result<(), ParseArgsError> {
 /// `icpda obs profile` — render the engine self-profile written by a
 /// streaming capture (`icpda run --obs-stream DIR`).
 fn obs_profile(args: &Args) -> Result<(), ParseArgsError> {
-    check_flags(args, &["dir", "top"])?;
+    check_flags(args, OBS_PROFILE_FLAGS)?;
     let dir = args
         .get("dir")
         .ok_or_else(|| ParseArgsError("obs profile: --dir is required".into()))?;
@@ -461,7 +486,7 @@ fn obs_profile(args: &Args) -> Result<(), ParseArgsError> {
 
 /// `icpda sweep`.
 pub fn sweep(args: &Args) -> Result<(), ParseArgsError> {
-    check_flags(args, &["seeds", "function", "pc", "integrity", "threads"])?;
+    check_flags(args, SWEEP_FLAGS)?;
     apply_threads(args)?;
     let seeds: u64 = args.get_or("seeds", 5)?;
     let config = parse_config(args)?;
@@ -498,22 +523,7 @@ pub fn sweep(args: &Args) -> Result<(), ParseArgsError> {
 
 /// `icpda attack`.
 pub fn attack(args: &Args) -> Result<(), ParseArgsError> {
-    check_flags(
-        args,
-        &[
-            "nodes",
-            "seed",
-            "seeds",
-            "mode",
-            "delta",
-            "attackers",
-            "session",
-            "function",
-            "pc",
-            "integrity",
-            "threads",
-        ],
-    )?;
+    check_flags(args, ATTACK_FLAGS)?;
     apply_threads(args)?;
     let n: usize = args.get_or("nodes", 400)?;
     let seed: u64 = args.get_or("seed", 7)?;
@@ -617,7 +627,7 @@ pub fn attack(args: &Args) -> Result<(), ParseArgsError> {
 
 /// `icpda privacy`.
 pub fn privacy(args: &Args) -> Result<(), ParseArgsError> {
-    check_flags(args, &["nodes", "seed", "px", "adversaries", "pc"])?;
+    check_flags(args, PRIVACY_FLAGS)?;
     let n: usize = args.get_or("nodes", 600)?;
     let seed: u64 = args.get_or("seed", 1)?;
     let p_x: f64 = args.get_or("px", 0.05)?;

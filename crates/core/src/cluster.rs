@@ -45,8 +45,8 @@ impl Roster {
     /// # Panics
     ///
     /// Panics if the resulting roster exceeds 64 members (contributor
-    /// masks are 64-bit; [`crate::IcpdaConfig::max_cluster_size`] keeps
-    /// real rosters far below this).
+    /// masks are 64-bit; [`crate::MAX_CLUSTER_SIZE`] keeps real rosters
+    /// far below this).
     #[must_use]
     pub fn new(head: NodeId, joiners: &[NodeId]) -> Self {
         let mut members: Vec<NodeId> = joiners.to_vec();

@@ -75,97 +75,97 @@ pub enum IntegrityMode {
     Off,
 }
 
-/// Phase schedule: all windows are measured from the moment the relevant
-/// trigger is observed at each node (the query flood reaches nodes at
-/// slightly different times; windows are sized to absorb that skew).
+// Phase windows. Every window is measured from the moment the relevant
+// trigger is observed at each node (the query flood reaches nodes at
+// slightly different times; windows are sized to absorb that skew).
+// They are sized for the paper's deployments (≤ 600 nodes, ≤ ~15 hops):
+// the cluster phases finish within ~4 s.
+
+/// From first query receipt to head self-election.
+pub(crate) const ELECT_AFTER: SimDuration = SimDuration::from_millis(500);
+/// From election to join transmission (non-heads pick a head).
+pub(crate) const JOIN_AFTER: SimDuration = SimDuration::from_millis(400);
+/// From election to the resign decision at under-sized heads.
+pub(crate) const RESIGN_AFTER: SimDuration = SimDuration::from_millis(1100);
+/// From a resign notice to the re-join transmission.
+pub(crate) const REJOIN_AFTER: SimDuration = SimDuration::from_millis(150);
+/// From election to roster (`ClusterInfo`) broadcast at heads.
+pub(crate) const ROSTER_AFTER: SimDuration = SimDuration::from_millis(2000);
+/// From roster receipt to share transmissions.
+pub(crate) const SHARES_AFTER: SimDuration = SimDuration::from_millis(200);
+/// From roster receipt to the missing-share repair round.
+pub(crate) const REPAIR_AFTER: SimDuration = SimDuration::from_millis(1600);
+/// From roster receipt to the blinded-sum (`FSum`) broadcast.
+pub(crate) const FSUM_AFTER: SimDuration = SimDuration::from_millis(2200);
+/// From roster receipt to the `FSum` repair round (missing-assembly
+/// NACKs and rebroadcasts).
+pub(crate) const FSUM_REPAIR_AFTER: SimDuration = SimDuration::from_millis(3000);
+/// Upper bound of the random jitter applied to repair NACKs and
+/// rebroadcasts, de-synchronising simultaneous repair traffic inside
+/// a cluster (synchronized NACKs would otherwise collide at the head).
+pub(crate) const NACK_JITTER: SimDuration = SimDuration::from_millis(150);
+/// From roster receipt to the cluster solve (head and members).
+pub(crate) const SOLVE_AFTER: SimDuration = SimDuration::from_millis(3800);
+/// Upper bound of the per-cluster random stagger the head applies to
+/// the whole share exchange, de-synchronising concurrent clusters.
+pub(crate) const CLUSTER_STAGGER: SimDuration = SimDuration::from_millis(3000);
+// `ClusterInfo` carries the stagger in whole milliseconds, as a `u16`.
+const _: () = assert!(CLUSTER_STAGGER.as_nanos() / 1_000_000 <= u16::MAX as u64);
+/// Global start of the upstream (inter-cluster) epoch, measured from
+/// each node's first query receipt.
+pub(crate) const UPSTREAM_START: SimDuration = SimDuration::from_millis(12000);
+/// Slack after the upstream epoch before the base station decides.
+pub(crate) const DECISION_SLACK: SimDuration = SimDuration::from_secs(2);
+/// Base delay before a head's blind roster repeat (the deterministic
+/// part of retry 0; grows per [`crate::ReliabilityConfig`]).
+pub(crate) const ROSTER_REPEAT_AFTER: SimDuration = SimDuration::from_millis(200);
+/// Upper bound of the uniform jitter added to each roster repeat.
+pub(crate) const ROSTER_REPEAT_JITTER: SimDuration = SimDuration::from_millis(200);
+/// Base delay before an upstream report's blind repeat.
+pub(crate) const UPSTREAM_REPEAT_AFTER: SimDuration = SimDuration::from_millis(150);
+/// Upper bound of the uniform jitter added to each upstream repeat.
+pub(crate) const UPSTREAM_REPEAT_JITTER: SimDuration = SimDuration::from_millis(100);
+/// Offset of the second share-repair NACK round after the first.
+pub(crate) const REPAIR2_OFFSET: SimDuration = SimDuration::from_millis(300);
+/// Upper bound of the random jitter applied to query/round flood
+/// relays (the broadcast-storm de-synchroniser).
+pub(crate) const FLOOD_RELAY_JITTER: SimDuration = SimDuration::from_millis(100);
+/// Slack added to two upstream slots when arming the crash-recovery
+/// parent-liveness deadline.
+pub(crate) const PARENT_CHECK_SLACK: SimDuration = SimDuration::from_millis(300);
+
+/// Minimum cluster size for the privacy layer to run. Clusters smaller
+/// than this do not participate (their readings are lost), mirroring the
+/// paper's treatment of under-connected nodes; 3 is the smallest size
+/// with non-trivial collusion resistance.
+pub const MIN_CLUSTER_SIZE: usize = 3;
+/// Maximum roster size (bounded so contributor sets fit a 64-bit mask;
+/// joins beyond this are rejected).
+pub const MAX_CLUSTER_SIZE: usize = 16;
+
+const _: () = assert!(MIN_CLUSTER_SIZE >= 2, "privacy needs at least 2 members");
+const _: () = assert!(MIN_CLUSTER_SIZE <= MAX_CLUSTER_SIZE);
+const _: () = assert!(MAX_CLUSTER_SIZE <= 64, "contributor masks are 64-bit");
+
+/// The upstream (inter-cluster) epoch: the one part of the phase
+/// schedule that grows with the network's depth. Every other window is
+/// a fixed constant of the protocol.
 #[derive(Clone, Copy, Debug)]
 pub struct PhaseSchedule {
-    /// From first query receipt to head self-election.
-    pub elect_after: SimDuration,
-    /// From election to join transmission (non-heads pick a head).
-    pub join_after: SimDuration,
-    /// From election to the resign decision at under-sized heads.
-    pub resign_after: SimDuration,
-    /// From a resign notice to the re-join transmission.
-    pub rejoin_after: SimDuration,
-    /// From election to roster (`ClusterInfo`) broadcast at heads.
-    pub roster_after: SimDuration,
-    /// From roster receipt to share transmissions.
-    pub shares_after: SimDuration,
-    /// From roster receipt to the missing-share repair round.
-    pub repair_after: SimDuration,
-    /// From roster receipt to the blinded-sum (`FSum`) broadcast.
-    pub fsum_after: SimDuration,
-    /// From roster receipt to the `FSum` repair round (missing-assembly
-    /// NACKs and rebroadcasts).
-    pub fsum_repair_after: SimDuration,
-    /// Upper bound of the random jitter applied to repair NACKs and
-    /// rebroadcasts, de-synchronising simultaneous repair traffic inside
-    /// a cluster (PR 1's fix for synchronized NACK collisions).
-    pub nack_jitter: SimDuration,
-    /// From roster receipt to the cluster solve (head and members).
-    pub solve_after: SimDuration,
-    /// Upper bound of the per-cluster random stagger the head applies to
-    /// the whole share exchange, de-synchronising concurrent clusters.
-    pub cluster_stagger: SimDuration,
-    /// Global start of the upstream (inter-cluster) epoch, measured from
-    /// each node's first query receipt.
-    pub upstream_start: SimDuration,
     /// Length of the upstream epoch (divided into per-depth slots).
     pub upstream_epoch: SimDuration,
     /// Deepest flood level the upstream schedule accounts for.
     pub max_depth: u16,
-    /// Slack after the upstream epoch before the base station decides.
-    pub decision_slack: SimDuration,
-    /// Base delay before a head's blind roster repeat (the deterministic
-    /// part of retry 0; grows per [`crate::ReliabilityConfig`]).
-    pub roster_repeat_after: SimDuration,
-    /// Upper bound of the uniform jitter added to each roster repeat.
-    pub roster_repeat_jitter: SimDuration,
-    /// Base delay before an upstream report's blind repeat.
-    pub upstream_repeat_after: SimDuration,
-    /// Upper bound of the uniform jitter added to each upstream repeat.
-    pub upstream_repeat_jitter: SimDuration,
-    /// Offset of the second share-repair NACK round after the first.
-    pub repair2_offset: SimDuration,
-    /// Upper bound of the random jitter applied to query/round flood
-    /// relays (the broadcast-storm de-synchroniser).
-    pub flood_relay_jitter: SimDuration,
-    /// Slack added to two upstream slots when arming the crash-recovery
-    /// parent-liveness deadline.
-    pub parent_check_slack: SimDuration,
 }
 
 impl PhaseSchedule {
     /// Defaults sized for the paper's deployments (≤ 600 nodes,
-    /// ≤ ~15 hops): cluster phases finish within ~4 s, upstream epoch
-    /// 10 s.
+    /// ≤ ~15 hops): upstream epoch 10 s over 20 levels.
     #[must_use]
     pub fn paper_default() -> Self {
         PhaseSchedule {
-            elect_after: SimDuration::from_millis(500),
-            join_after: SimDuration::from_millis(400),
-            resign_after: SimDuration::from_millis(1100),
-            rejoin_after: SimDuration::from_millis(150),
-            roster_after: SimDuration::from_millis(2000),
-            shares_after: SimDuration::from_millis(200),
-            repair_after: SimDuration::from_millis(1600),
-            fsum_after: SimDuration::from_millis(2200),
-            fsum_repair_after: SimDuration::from_millis(3000),
-            nack_jitter: SimDuration::from_millis(150),
-            solve_after: SimDuration::from_millis(3800),
-            cluster_stagger: SimDuration::from_millis(3000),
-            upstream_start: SimDuration::from_millis(12000),
             upstream_epoch: SimDuration::from_secs(10),
             max_depth: 20,
-            decision_slack: SimDuration::from_secs(2),
-            roster_repeat_after: SimDuration::from_millis(200),
-            roster_repeat_jitter: SimDuration::from_millis(200),
-            upstream_repeat_after: SimDuration::from_millis(150),
-            upstream_repeat_jitter: SimDuration::from_millis(100),
-            repair2_offset: SimDuration::from_millis(300),
-            flood_relay_jitter: SimDuration::from_millis(100),
-            parent_check_slack: SimDuration::from_millis(300),
         }
     }
 
@@ -180,13 +180,13 @@ impl PhaseSchedule {
     #[must_use]
     pub fn upstream_time(&self, level: u16) -> SimDuration {
         let depth_from_bottom = self.max_depth.saturating_sub(level.min(self.max_depth));
-        self.upstream_start + self.upstream_slot() * u64::from(depth_from_bottom)
+        UPSTREAM_START + self.upstream_slot() * u64::from(depth_from_bottom)
     }
 
     /// When the base station finalises its verdict (from time zero).
     #[must_use]
     pub fn decision_time(&self) -> SimDuration {
-        self.upstream_start + self.upstream_epoch + self.upstream_slot() + self.decision_slack
+        UPSTREAM_START + self.upstream_epoch + self.upstream_slot() + DECISION_SLACK
     }
 }
 
@@ -197,13 +197,6 @@ pub struct IcpdaConfig {
     pub function: AggFunction,
     /// Cluster-head election rule.
     pub election: HeadElection,
-    /// Minimum cluster size for the privacy layer to run. Clusters
-    /// smaller than this do not participate (their readings are lost),
-    /// mirroring the paper's treatment of under-connected nodes.
-    pub min_cluster_size: usize,
-    /// Maximum roster size (bounded so contributor sets fit a 64-bit
-    /// mask; joins beyond this are rejected).
-    pub max_cluster_size: usize,
     /// Privacy layer switch (ablation).
     pub privacy: PrivacyMode,
     /// Integrity layer switch.
@@ -216,7 +209,7 @@ pub struct IcpdaConfig {
     /// cluster formation; later rounds reuse the formed clusters and
     /// repeat only the share exchange and upstream aggregation.
     pub rounds: u16,
-    /// Phase timing.
+    /// The upstream epoch's timing.
     pub schedule: PhaseSchedule,
     /// Retry budgets for the blind-retransmission (ARQ) layer; see
     /// [`crate::reliability`].
@@ -234,16 +227,12 @@ pub struct IcpdaConfig {
 
 impl IcpdaConfig {
     /// The paper's recommended configuration: fixed `p_c = 0.25`
-    /// (expected cluster size ≈ 4), minimum cluster size 3 (the smallest
-    /// size with non-trivial collusion resistance), integrity on,
-    /// `Th = 0`.
+    /// (expected cluster size ≈ 4), integrity on, `Th = 0`.
     #[must_use]
     pub fn paper_default(function: AggFunction) -> Self {
         IcpdaConfig {
             function,
             election: HeadElection::Fixed(0.25),
-            min_cluster_size: 3,
-            max_cluster_size: 16,
             privacy: PrivacyMode::On,
             integrity: IntegrityMode::On,
             threshold: 0,
@@ -259,19 +248,12 @@ impl IcpdaConfig {
     ///
     /// # Panics
     ///
-    /// Panics if sizes are inconsistent (min > max, max > 64, min < 2),
-    /// the election probability is out of range, or the monitoring
-    /// tolerance exceeds the meaningful half-field bound (beyond which
-    /// every check trivially passes — see
+    /// Panics if the session has no round, the election probability is
+    /// out of range, or the monitoring tolerance exceeds the meaningful
+    /// half-field bound (beyond which every check trivially passes — see
     /// [`crate::monitor::MAX_MEANINGFUL_THRESHOLD`]).
     pub fn validate(&self) {
         assert!(self.rounds >= 1, "a session needs at least one round");
-        assert!(
-            self.min_cluster_size >= 2,
-            "privacy needs at least 2 members"
-        );
-        assert!(self.min_cluster_size <= self.max_cluster_size);
-        assert!(self.max_cluster_size <= 64, "contributor masks are 64-bit");
         if let HeadElection::Fixed(p) = self.election {
             assert!((0.0..=1.0).contains(&p), "p_c must be a probability");
         }
@@ -316,26 +298,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "privacy needs at least 2")]
-    fn tiny_min_cluster_rejected() {
-        let mut c = IcpdaConfig::paper_default(AggFunction::Sum);
-        c.min_cluster_size = 1;
-        c.validate();
-    }
-
-    #[test]
     #[should_panic(expected = "at least one round")]
     fn zero_rounds_rejected() {
         let mut c = IcpdaConfig::paper_default(AggFunction::Sum);
         c.rounds = 0;
-        c.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "64-bit")]
-    fn oversized_cluster_rejected() {
-        let mut c = IcpdaConfig::paper_default(AggFunction::Sum);
-        c.max_cluster_size = 65;
         c.validate();
     }
 

@@ -57,7 +57,10 @@ pub use adversary::{
 };
 pub use attack::Pollution;
 pub use cluster::Roster;
-pub use config::{HeadElection, IcpdaConfig, IntegrityMode, PhaseSchedule, PrivacyMode};
+pub use config::{
+    HeadElection, IcpdaConfig, IntegrityMode, PhaseSchedule, PrivacyMode, MAX_CLUSTER_SIZE,
+    MIN_CLUSTER_SIZE,
+};
 pub use monitor::{CachedAggregate, CheckOutcome, MonitorCache};
 pub use msg::{IcpdaMsg, MergedRef};
 pub use node::{BsDecision, IcpdaNode, Role};

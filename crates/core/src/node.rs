@@ -17,7 +17,13 @@
 
 use crate::adversary::{Behavior, CollusionView};
 use crate::cluster::Roster;
-use crate::config::{IcpdaConfig, IntegrityMode, PhaseSchedule, PrivacyMode};
+use crate::config::{
+    IcpdaConfig, IntegrityMode, PrivacyMode, CLUSTER_STAGGER, ELECT_AFTER, FLOOD_RELAY_JITTER,
+    FSUM_AFTER, FSUM_REPAIR_AFTER, JOIN_AFTER, MAX_CLUSTER_SIZE, MIN_CLUSTER_SIZE, NACK_JITTER,
+    PARENT_CHECK_SLACK, REJOIN_AFTER, REPAIR2_OFFSET, REPAIR_AFTER, RESIGN_AFTER, ROSTER_AFTER,
+    ROSTER_REPEAT_AFTER, ROSTER_REPEAT_JITTER, SHARES_AFTER, SOLVE_AFTER, UPSTREAM_REPEAT_AFTER,
+    UPSTREAM_REPEAT_JITTER,
+};
 use crate::monitor::{CachedAggregate, CheckOutcome, MonitorCache, ViolationKind};
 use crate::msg::{IcpdaMsg, InputClaim, MergedRef};
 use crate::reliability::RetryState;
@@ -100,16 +106,13 @@ impl Repeat {
     }
 
     /// The `(base, jitter)` of each retry delay.
-    fn timing(self, s: &PhaseSchedule) -> (SimDuration, SimDuration) {
+    fn timing(self) -> (SimDuration, SimDuration) {
         match self {
-            Repeat::Roster => (s.roster_repeat_after, s.roster_repeat_jitter),
+            Repeat::Roster => (ROSTER_REPEAT_AFTER, ROSTER_REPEAT_JITTER),
             // A sixth of the share→repair gap, so the whole budget still
             // lands around the NACK repair rounds, before assembly.
-            Repeat::Shares => (
-                s.repair_after.saturating_sub(s.shares_after) / 6,
-                s.nack_jitter,
-            ),
-            _ => (s.upstream_repeat_after, s.upstream_repeat_jitter),
+            Repeat::Shares => ((REPAIR_AFTER - SHARES_AFTER) / 6, NACK_JITTER),
+            _ => (UPSTREAM_REPEAT_AFTER, UPSTREAM_REPEAT_JITTER),
         }
     }
 
@@ -449,9 +452,7 @@ impl IcpdaNode {
     }
 
     fn participating_roster(&self) -> Option<&Roster> {
-        self.roster
-            .as_ref()
-            .filter(|r| r.len() >= self.config.min_cluster_size)
+        self.roster.as_ref().filter(|r| r.len() >= MIN_CLUSTER_SIZE)
     }
 
     /// Sends `share` (raw) to `target`, sealed end-to-end, relaying via
@@ -512,7 +513,7 @@ impl IcpdaNode {
     /// Consumes one retry of `kind`'s budget (one jitter draw) and sets
     /// its timer; `false` once the budget is spent.
     fn rearm_repeat(&mut self, ctx: &mut Context<'_, IcpdaMsg>, kind: Repeat) -> bool {
-        let (base, jitter) = kind.timing(&self.config.schedule);
+        let (base, jitter) = kind.timing();
         let rel = self.config.reliability;
         match self.retries[kind as usize].next_delay(&rel, base, jitter, ctx.rng()) {
             Some(delay) => {
@@ -632,15 +633,12 @@ impl IcpdaNode {
         self.pending_flood = Some(SharedPayload::new(IcpdaMsg::Query {
             level: level.saturating_add(1),
         }));
-        let s = self.config.schedule;
-        let relay_jitter = SimDuration::from_nanos(
-            ctx.rng()
-                .gen_range(0..s.flood_relay_jitter.as_nanos().max(1)),
-        );
+        let relay_jitter =
+            SimDuration::from_nanos(ctx.rng().gen_range(0..FLOOD_RELAY_JITTER.as_nanos()));
         ctx.set_timer(relay_jitter, TIMER_FLOOD_RELAY);
         let elect_jitter =
-            SimDuration::from_nanos(ctx.rng().gen_range(0..s.elect_after.as_nanos().max(2) / 2));
-        ctx.set_timer(s.elect_after + elect_jitter, TIMER_ELECT);
+            SimDuration::from_nanos(ctx.rng().gen_range(0..ELECT_AFTER.as_nanos() / 2));
+        ctx.set_timer(ELECT_AFTER + elect_jitter, TIMER_ELECT);
         self.schedule_upstream(ctx, my_level);
     }
 
@@ -661,35 +659,31 @@ impl IcpdaNode {
     fn handle_elect(&mut self, ctx: &mut Context<'_, IcpdaMsg>) {
         let p = self.config.election.probability(self.queries_heard);
         let is_head = p >= 1.0 || ctx.rng().gen_bool(p.clamp(0.0, 1.0));
-        let s = self.config.schedule;
         if is_head {
             self.role = Role::Head;
             ctx.broadcast(IcpdaMsg::HeadAnnounce);
             self.arm_repeat(ctx, Repeat::Announce);
             // Dispersed so concurrent heads' roster broadcasts (the single
             // point of failure for a whole cluster) do not collide.
-            ctx.set_timer(s.resign_after, TIMER_RESIGN);
-            let jitter = SimDuration::from_nanos(
-                ctx.rng().gen_range(0..s.roster_after.as_nanos().max(2) / 3),
-            );
-            ctx.set_timer(s.roster_after + jitter, TIMER_ROSTER);
+            ctx.set_timer(RESIGN_AFTER, TIMER_RESIGN);
+            let jitter =
+                SimDuration::from_nanos(ctx.rng().gen_range(0..ROSTER_AFTER.as_nanos() / 3));
+            ctx.set_timer(ROSTER_AFTER + jitter, TIMER_ROSTER);
             ctx.obs().inc("icpda_heads");
             if self.config.crash_recovery {
                 // Two liveness beacons before the roster deadline: members
                 // that hear neither (nor anything else from us) declare us
                 // dead and fall back.
                 for frac in [4u64, 2u64] {
-                    let beacon_jitter = SimDuration::from_nanos(
-                        ctx.rng().gen_range(0..s.nack_jitter.as_nanos().max(1)),
-                    );
-                    ctx.set_timer(s.roster_after / frac + beacon_jitter, TIMER_BEACON);
+                    let beacon_jitter =
+                        SimDuration::from_nanos(ctx.rng().gen_range(0..NACK_JITTER.as_nanos()));
+                    ctx.set_timer(ROSTER_AFTER / frac + beacon_jitter, TIMER_BEACON);
                 }
             }
         } else {
             // Small dispersion so join unicasts do not collide at heads.
-            let jitter =
-                SimDuration::from_nanos(ctx.rng().gen_range(0..s.join_after.as_nanos().max(1) / 2));
-            ctx.set_timer(s.join_after + jitter, TIMER_JOIN);
+            let jitter = SimDuration::from_nanos(ctx.rng().gen_range(0..JOIN_AFTER.as_nanos() / 2));
+            ctx.set_timer(JOIN_AFTER + jitter, TIMER_JOIN);
         }
     }
 
@@ -715,10 +709,8 @@ impl IcpdaNode {
     /// presumed dead and this node falls back to another cluster.
     fn schedule_head_check(&mut self, ctx: &mut Context<'_, IcpdaMsg>) {
         self.head_alive_seen = false;
-        let s = self.config.schedule;
-        let jitter =
-            SimDuration::from_nanos(ctx.rng().gen_range(0..s.nack_jitter.as_nanos().max(1)));
-        ctx.set_timer(s.roster_after + jitter, TIMER_HEAD_CHECK);
+        let jitter = SimDuration::from_nanos(ctx.rng().gen_range(0..NACK_JITTER.as_nanos()));
+        ctx.set_timer(ROSTER_AFTER + jitter, TIMER_HEAD_CHECK);
     }
 
     fn handle_head_check(&mut self, ctx: &mut Context<'_, IcpdaMsg>) {
@@ -747,7 +739,7 @@ impl IcpdaNode {
         if self.role != Role::Head || self.roster.is_some() {
             return;
         }
-        if self.joiners.len() + 1 >= self.config.min_cluster_size {
+        if self.joiners.len() + 1 >= MIN_CLUSTER_SIZE {
             return;
         }
         self.has_resigned = true;
@@ -758,9 +750,8 @@ impl IcpdaNode {
     }
 
     fn schedule_rejoin(&mut self, ctx: &mut Context<'_, IcpdaMsg>) {
-        let base = self.config.schedule.rejoin_after;
-        let jitter = SimDuration::from_nanos(ctx.rng().gen_range(0..base.as_nanos().max(2)));
-        ctx.set_timer(base + jitter, TIMER_REJOIN);
+        let jitter = SimDuration::from_nanos(ctx.rng().gen_range(0..REJOIN_AFTER.as_nanos()));
+        ctx.set_timer(REJOIN_AFTER + jitter, TIMER_REJOIN);
     }
 
     fn handle_rejoin_timer(&mut self, ctx: &mut Context<'_, IcpdaMsg>) {
@@ -798,25 +789,21 @@ impl IcpdaNode {
         }
         let me = ctx.id();
         let mut joiners = std::mem::take(&mut self.joiners);
-        joiners.truncate(self.config.max_cluster_size.saturating_sub(1));
+        joiners.truncate(MAX_CLUSTER_SIZE - 1);
         let roster = Roster::new(me, &joiners);
         // Random per-cluster stagger: every member shifts the whole share
         // exchange by this amount, so concurrent clusters do not burst at
         // the same instants (the dominant collision source otherwise).
-        let stagger_bound_ms = self.config.schedule.cluster_stagger.as_nanos() / 1_000_000;
-        let stagger_ms = if stagger_bound_ms == 0 {
-            0
-        } else {
-            ctx.rng()
-                .gen_range(0..stagger_bound_ms.min(u64::from(u16::MAX))) as u16
-        };
+        let stagger_ms = ctx
+            .rng()
+            .gen_range(0..CLUSTER_STAGGER.as_nanos() / 1_000_000) as u16;
         self.my_stagger_ms = stagger_ms;
         ctx.broadcast(IcpdaMsg::ClusterInfo {
             head: me,
             members: roster.members().to_vec(),
             stagger_ms,
         });
-        let participates = roster.len() >= self.config.min_cluster_size;
+        let participates = roster.len() >= MIN_CLUSTER_SIZE;
         self.roster = Some(roster);
         if participates {
             self.arm_repeat(ctx, Repeat::Roster);
@@ -827,44 +814,33 @@ impl IcpdaNode {
     }
 
     fn schedule_share_phases(&mut self, ctx: &mut Context<'_, IcpdaMsg>, stagger_ms: u16) {
-        let s = self.config.schedule;
         let stagger = SimDuration::from_millis(u64::from(stagger_ms));
         // Dispersion over the first quarter of the share window keeps the
         // unicast bursts from synchronising across members while still
         // finishing (start jitter plus per-frame drain gaps) well before
         // the repair deadline.
-        let window = s.repair_after.saturating_sub(s.shares_after) / 4;
-        let jitter = if window.is_zero() {
-            SimDuration::ZERO
-        } else {
-            SimDuration::from_nanos(ctx.rng().gen_range(0..window.as_nanos()))
-        };
-        ctx.set_timer(stagger + s.shares_after + jitter, TIMER_SHARES);
+        let window = (REPAIR_AFTER - SHARES_AFTER) / 4;
+        let jitter = SimDuration::from_nanos(ctx.rng().gen_range(0..window.as_nanos()));
+        ctx.set_timer(stagger + SHARES_AFTER + jitter, TIMER_SHARES);
         // Every member discovers its gaps at the same deadline, so
         // un-jittered NACK broadcasts would collide at the head.
-        let nack_jitter =
-            SimDuration::from_nanos(ctx.rng().gen_range(0..s.nack_jitter.as_nanos().max(1)));
-        ctx.set_timer(stagger + s.repair_after + nack_jitter, TIMER_REPAIR);
-        let nack2_jitter =
-            SimDuration::from_nanos(ctx.rng().gen_range(0..s.nack_jitter.as_nanos().max(1)));
+        let nack_jitter = SimDuration::from_nanos(ctx.rng().gen_range(0..NACK_JITTER.as_nanos()));
+        ctx.set_timer(stagger + REPAIR_AFTER + nack_jitter, TIMER_REPAIR);
+        let nack2_jitter = SimDuration::from_nanos(ctx.rng().gen_range(0..NACK_JITTER.as_nanos()));
         ctx.set_timer(
-            stagger + s.repair_after + s.repair2_offset + nack2_jitter,
+            stagger + REPAIR_AFTER + REPAIR2_OFFSET + nack2_jitter,
             TIMER_REPAIR2,
         );
-        let fsum_window = s.solve_after.saturating_sub(s.fsum_after) / 2;
-        let fsum_jitter = if fsum_window.is_zero() {
-            SimDuration::ZERO
-        } else {
-            SimDuration::from_nanos(ctx.rng().gen_range(0..fsum_window.as_nanos()))
-        };
-        ctx.set_timer(stagger + s.fsum_after + fsum_jitter, TIMER_FSUM);
+        let fsum_window = (SOLVE_AFTER - FSUM_AFTER) / 2;
+        let fsum_jitter = SimDuration::from_nanos(ctx.rng().gen_range(0..fsum_window.as_nanos()));
+        ctx.set_timer(stagger + FSUM_AFTER + fsum_jitter, TIMER_FSUM);
         let fsum_nack_jitter =
-            SimDuration::from_nanos(ctx.rng().gen_range(0..s.nack_jitter.as_nanos().max(1)));
+            SimDuration::from_nanos(ctx.rng().gen_range(0..NACK_JITTER.as_nanos()));
         ctx.set_timer(
-            stagger + s.fsum_repair_after + fsum_nack_jitter,
+            stagger + FSUM_REPAIR_AFTER + fsum_nack_jitter,
             TIMER_FSUM_REPAIR,
         );
-        ctx.set_timer(stagger + s.solve_after, TIMER_SOLVE);
+        ctx.set_timer(stagger + SOLVE_AFTER, TIMER_SOLVE);
     }
 
     fn handle_cluster_info(
@@ -890,7 +866,7 @@ impl IcpdaNode {
             obs_phase_end(ctx, PHASE_CLUSTER_FORMATION);
             return;
         }
-        let participates = roster.len() >= self.config.min_cluster_size;
+        let participates = roster.len() >= MIN_CLUSTER_SIZE;
         self.my_stagger_ms = stagger_ms;
         self.roster = Some(roster);
         obs_phase_end(ctx, PHASE_CLUSTER_FORMATION);
@@ -946,10 +922,8 @@ impl IcpdaNode {
         self.begin_round(ctx, round);
         // Flood the round marker onward with the usual jitter.
         self.pending_flood = Some(SharedPayload::new(IcpdaMsg::NewRound { round }));
-        let relay_jitter = SimDuration::from_nanos(
-            ctx.rng()
-                .gen_range(0..self.config.schedule.flood_relay_jitter.as_nanos().max(1)),
-        );
+        let relay_jitter =
+            SimDuration::from_nanos(ctx.rng().gen_range(0..FLOOD_RELAY_JITTER.as_nanos()));
         ctx.set_timer(relay_jitter, TIMER_FLOOD_RELAY);
     }
 
@@ -988,12 +962,12 @@ impl IcpdaNode {
             return;
         };
         let shares = if self.config.crash_recovery {
-            // Threshold sharing: any `min_cluster_size` surviving
+            // Threshold sharing: any `MIN_CLUSTER_SIZE` surviving
             // assemblies reconstruct the cluster sum, so a member dying
             // between its share exchange and the FSum broadcast no longer
             // kills the whole cluster. The price is a lower collusion
             // bound (threshold − 1 instead of m − 1 colluders).
-            let threshold = self.config.min_cluster_size.min(roster.len());
+            let threshold = MIN_CLUSTER_SIZE.min(roster.len());
             generate_shares_t(&contribution, roster.len(), threshold, ctx.rng())
         } else {
             generate_shares(&contribution, roster.len(), ctx.rng())
@@ -1045,10 +1019,9 @@ impl IcpdaNode {
         let m = roster.len().max(1) as u64;
         self.send_share(ctx, head, target, &share);
         if !self.share_sendq.is_empty() {
-            let s = self.config.schedule;
             // Same basis as the batch-start jitter: half the share→repair
             // gap, split across the cluster's frames.
-            let window = s.repair_after.saturating_sub(s.shares_after) / 2;
+            let window = (REPAIR_AFTER - SHARES_AFTER) / 2;
             let gap_bound = (window.as_nanos() / m).max(2);
             let gap = SimDuration::from_nanos(ctx.rng().gen_range(0..gap_bound));
             ctx.set_timer(gap, TIMER_SHARE_DRAIN);
@@ -1481,7 +1454,7 @@ impl IcpdaNode {
     /// Crash-recovery solve: instead of demanding all `m` assemblies
     /// under one consistent contributor mask, group whatever assemblies
     /// arrived by their mask and interpolate the largest consistent
-    /// group — threshold sharing makes any `min_cluster_size` positions
+    /// group — threshold sharing makes any `MIN_CLUSTER_SIZE` positions
     /// sufficient, so clusters solve with the survivors' shares after a
     /// member (or the head) dies mid-exchange.
     fn solve_with_survivors(&mut self, ctx: &mut Context<'_, IcpdaMsg>, roster: &Roster) {
@@ -1513,7 +1486,7 @@ impl IcpdaNode {
             ctx.obs().inc("icpda_cluster_failed_empty");
             return;
         }
-        let threshold = self.config.min_cluster_size.min(m);
+        let threshold = MIN_CLUSTER_SIZE.min(m);
         if positions.len() < threshold {
             ctx.obs().inc(if is_head {
                 "icpda_head_failed_missing_fsum"
@@ -1623,10 +1596,7 @@ impl IcpdaNode {
             // to the base station (node 0 never faults), so they skip it.
             if self.level.is_some_and(|l| l > 1) {
                 let slot = self.config.schedule.upstream_slot();
-                ctx.set_timer(
-                    slot * 2 + self.config.schedule.parent_check_slack,
-                    TIMER_PARENT_CHECK,
-                );
+                ctx.set_timer(slot * 2 + PARENT_CHECK_SLACK, TIMER_PARENT_CHECK);
             }
         }
         ctx.obs().inc("icpda_upstream_sent");

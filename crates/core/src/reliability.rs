@@ -55,8 +55,8 @@ const MAX_DELAY: SimDuration = SimDuration::from_secs(2);
 /// The delay before retry `k` (zero-based) is
 /// `base * 2^k + U(0, jitter)`, with the deterministic part capped at
 /// 2 s. `base` and `jitter` are supplied per repeated message (rosters
-/// and upstream reports use different timings, see
-/// [`crate::PhaseSchedule`]); the budget lives here.
+/// and upstream reports use different timings, which are constants of
+/// the protocol in `config.rs`); the budget lives here.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ReliabilityConfig {
     /// Retransmissions allowed per message (on top of the first send);

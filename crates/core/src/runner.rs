@@ -3,7 +3,7 @@
 
 use crate::adversary::{evaluate_collusion, AdversaryPlan, CollusionReport, CollusionView};
 use crate::cluster::Roster;
-use crate::config::IcpdaConfig;
+use crate::config::{IcpdaConfig, SHARES_AFTER};
 use crate::node::{BsDecision, IcpdaNode, Role};
 use agg::accuracy::accuracy_ratio;
 use icpda_obs::export::Manifest;
@@ -185,9 +185,8 @@ impl IcpdaRun {
         let fault_plan = self.fault_plan.clone();
         let excluded_nodes = self.excluded.clone();
         let eligible_of = |round: u16| -> Vec<bool> {
-            let sensing = SimTime::ZERO
-                + config.schedule.decision_time() * u64::from(round)
-                + config.schedule.shares_after;
+            let sensing =
+                SimTime::ZERO + config.schedule.decision_time() * u64::from(round) + SHARES_AFTER;
             (0..readings.len())
                 .map(|i| {
                     let id = NodeId::new(i as u32);
@@ -234,7 +233,7 @@ impl IcpdaRun {
         }
         // Periodic sensing: install round r's readings right after round
         // r−1's decision (the share exchange starts no earlier than
-        // shares_after later).
+        // SHARES_AFTER later).
         let mut current_readings = self.readings.clone();
         for round in 1..config.rounds {
             let boundary = SimTime::ZERO

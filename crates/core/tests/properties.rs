@@ -85,8 +85,8 @@ proptest! {
         .run();
         for (node, roster) in &out.rosters {
             prop_assert!(roster.contains(*node));
-            prop_assert!(roster.len() >= config.min_cluster_size);
-            prop_assert!(roster.len() <= config.max_cluster_size);
+            prop_assert!(roster.len() >= icpda::MIN_CLUSTER_SIZE);
+            prop_assert!(roster.len() <= icpda::MAX_CLUSTER_SIZE);
             prop_assert!(roster.contains(roster.head()));
         }
         // Roles partition the nodes the query flood reached: all non-BS

@@ -422,7 +422,7 @@ fn roles_partition_the_network() {
     // Every sharing node's roster head is a Head-role node or was
     // consistent at share time; at minimum rosters are well-formed.
     for (_, roster) in &out.rosters {
-        assert!(roster.len() <= config.max_cluster_size);
+        assert!(roster.len() <= icpda::MAX_CLUSTER_SIZE);
     }
 }
 

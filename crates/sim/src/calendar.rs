@@ -68,7 +68,7 @@ pub struct CalendarQueue<T> {
 impl<T> CalendarQueue<T> {
     /// A queue sized for `n` event sources (nodes): more nodes mean more
     /// simultaneously in-flight events, so the ring gets more buckets
-    /// (within [`MIN_BUCKETS`]..=[`MAX_BUCKETS`]).
+    /// (a power of two from 64 to 1024).
     #[must_use]
     pub fn for_nodes(n: usize) -> Self {
         let buckets = n.next_power_of_two().clamp(MIN_BUCKETS, MAX_BUCKETS);

@@ -54,9 +54,9 @@ pub use channel::{ChannelPlan, ChannelPlanError, GilbertElliott, LinkWindow};
 pub use fault::{FaultPlan, FaultPlanError};
 pub use frame::{Destination, Frame, WireSize};
 pub use ids::NodeId;
-pub use metrics::{EnergyModel, LossCause, Metrics, NodeMetrics};
+pub use metrics::{LossCause, Metrics, NodeMetrics};
 pub use profile::{EngineProfile, EngineProfiler};
-pub use radio::{LossModel, LossModelError, RadioConfig};
+pub use radio::{LossModel, LossModelError};
 pub use sim::{SimConfig, Simulator};
 pub use time::{SimDuration, SimTime};
 pub use topology::Deployment;
@@ -75,8 +75,8 @@ pub mod prelude {
     pub use crate::geometry::{Point, Region};
     pub use crate::ids::NodeId;
     pub use crate::mac::MacConfig;
-    pub use crate::metrics::{EnergyModel, LossCause, Metrics};
-    pub use crate::radio::{LossModel, LossModelError, RadioConfig};
+    pub use crate::metrics::{LossCause, Metrics};
+    pub use crate::radio::{LossModel, LossModelError};
     pub use crate::sim::{SimConfig, Simulator};
     pub use crate::time::{SimDuration, SimTime};
     pub use crate::topology::Deployment;

@@ -8,36 +8,16 @@
 
 use crate::ids::NodeId;
 
-/// Energy cost model: nanojoules charged per on-air byte transmitted or
-/// received. Overhearing a frame costs receive energy too — the price of
-/// the promiscuous monitoring the integrity layer relies on.
-///
-/// Default values approximate a CC1000-class mote radio
-/// (~0.6 µJ/byte tx at 0 dBm, ~0.67 µJ/byte rx).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct EnergyModel {
-    /// Nanojoules per transmitted on-air byte.
-    pub tx_nj_per_byte: f64,
-    /// Nanojoules per received (or overheard) on-air byte.
-    pub rx_nj_per_byte: f64,
-}
+// The energy model charges nanojoules per on-air byte transmitted or
+// received. Overhearing a frame costs receive energy too — the price of
+// the promiscuous monitoring the integrity layer relies on. The values
+// approximate a CC1000-class mote radio (~0.6 µJ/byte tx at 0 dBm,
+// ~0.67 µJ/byte rx).
 
-impl EnergyModel {
-    /// Mote-class defaults (CC1000-like).
-    #[must_use]
-    pub const fn mote_default() -> Self {
-        EnergyModel {
-            tx_nj_per_byte: 600.0,
-            rx_nj_per_byte: 670.0,
-        }
-    }
-}
-
-impl Default for EnergyModel {
-    fn default() -> Self {
-        EnergyModel::mote_default()
-    }
-}
+/// Nanojoules per transmitted on-air byte.
+pub const TX_NJ_PER_BYTE: f64 = 600.0;
+/// Nanojoules per received (or overheard) on-air byte.
+pub const RX_NJ_PER_BYTE: f64 = 670.0;
 
 /// Why a reception failed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]

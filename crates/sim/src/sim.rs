@@ -28,9 +28,9 @@ use crate::fault::FaultPlan;
 use crate::frame::{Destination, Frame};
 use crate::ids::NodeId;
 use crate::mac::MacConfig;
-use crate::metrics::{EnergyModel, LossCause, Metrics};
+use crate::metrics::{LossCause, Metrics, RX_NJ_PER_BYTE, TX_NJ_PER_BYTE};
 use crate::profile::{EngineProfile, EngineProfiler};
-use crate::radio::{LossModel, RadioConfig};
+use crate::radio::{airtime, on_air_bytes, LossModel};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::Deployment;
 use crate::trace::{Trace, TraceKind, TraceLevel};
@@ -39,17 +39,16 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::collections::VecDeque;
 
-/// Engine-level configuration: radio, MAC, loss and energy models.
+/// Engine-level configuration: MAC and loss models, tracing and
+/// observability. The radio (bitrate, frame overhead) and the energy
+/// model are constants of the engine: [`crate::radio`] and
+/// [`crate::metrics`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SimConfig {
-    /// Physical-layer parameters.
-    pub radio: RadioConfig,
     /// Medium-access parameters.
     pub mac: MacConfig,
     /// Stochastic loss applied per reception.
     pub loss: LossModel,
-    /// Energy cost model.
-    pub energy: EnergyModel,
     /// Retained entries of the link-layer event trace
     /// ([`crate::trace::Trace`]); 0 disables tracing.
     pub trace_capacity: usize,
@@ -74,8 +73,8 @@ pub struct SimConfig {
 }
 
 impl SimConfig {
-    /// The paper's setup: 1 Mbps radio, CSMA defaults, no extra stochastic
-    /// loss (collisions only), mote energy model.
+    /// The paper's setup: CSMA defaults, no extra stochastic loss
+    /// (collisions only).
     #[must_use]
     pub fn paper_default() -> Self {
         SimConfig::default()
@@ -813,15 +812,14 @@ impl<A: Application> Simulator<A> {
             return;
         };
         st.attempts = 0;
-        let airtime = self.config.radio.airtime(frame.size_bytes);
-        let on_air = self.config.radio.on_air_bytes(frame.size_bytes) as u64;
-        let end = now + airtime;
+        let on_air = on_air_bytes(frame.size_bytes) as u64;
+        let end = now + airtime(frame.size_bytes);
         self.radios[node.index()].start_tx(end);
         {
             let nm = self.metrics.node_mut(node);
             nm.frames_sent += 1;
             nm.bytes_sent += on_air;
-            nm.energy_tx_nj += on_air as f64 * self.config.energy.tx_nj_per_byte;
+            nm.energy_tx_nj += on_air as f64 * TX_NJ_PER_BYTE;
         }
         if self.trace.enabled() {
             self.trace.record(
@@ -891,9 +889,9 @@ impl<A: Application> Simulator<A> {
     /// (start of the airtime, on-air size, receive energy) are computed
     /// once here instead of once per receiver.
     fn handle_delivery(&mut self, frame: &Frame<A::Message>, receivers: &[NodeId]) {
-        let start = self.now - self.config.radio.airtime(frame.size_bytes);
-        let on_air = self.config.radio.on_air_bytes(frame.size_bytes) as u64;
-        let rx_energy = on_air as f64 * self.config.energy.rx_nj_per_byte;
+        let start = self.now - airtime(frame.size_bytes);
+        let on_air = on_air_bytes(frame.size_bytes) as u64;
+        let rx_energy = on_air as f64 * RX_NJ_PER_BYTE;
         if self.obs.enabled() {
             self.obs.inc("engine.delivery_batches");
             self.obs
@@ -1048,8 +1046,8 @@ impl<A: Application> Simulator<A> {
             self.lose(node, frame.seq, LossCause::ReceiverDown);
             return;
         }
-        let on_air = self.config.radio.on_air_bytes(frame.size_bytes) as u64;
-        let rx_energy = on_air as f64 * self.config.energy.rx_nj_per_byte;
+        let on_air = on_air_bytes(frame.size_bytes) as u64;
+        let rx_energy = on_air as f64 * RX_NJ_PER_BYTE;
         self.dispatch_frame(node, frame, on_air, rx_energy);
     }
 

@@ -72,13 +72,6 @@ impl SimTime {
         self.0 as f64 / 1e9
     }
 
-    /// Duration elapsed since `earlier`, saturating at zero if `earlier`
-    /// is in the future.
-    #[must_use]
-    pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
-        SimDuration(self.0.saturating_sub(earlier.0))
-    }
-
     /// Checked addition of a duration; `None` on overflow.
     #[must_use]
     pub fn checked_add(self, d: SimDuration) -> Option<SimTime> {
@@ -112,22 +105,6 @@ impl SimDuration {
     #[must_use]
     pub const fn from_secs(s: u64) -> Self {
         SimDuration(s * 1_000_000_000)
-    }
-
-    /// Creates a duration from fractional seconds, rounding to nanoseconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s` is negative, NaN, or too large to represent.
-    #[must_use]
-    pub fn from_secs_f64(s: f64) -> Self {
-        assert!(
-            s.is_finite() && s >= 0.0,
-            "duration must be finite and non-negative"
-        );
-        let ns = s * 1e9;
-        assert!(ns <= u64::MAX as f64, "duration too large");
-        SimDuration(ns.round() as u64)
     }
 
     /// Raw nanoseconds.
@@ -277,33 +254,10 @@ mod tests {
     }
 
     #[test]
-    fn saturating_since_clamps() {
-        let early = SimTime::from_secs(1);
-        let late = SimTime::from_secs(2);
-        assert_eq!(late.saturating_since(early), SimDuration::from_secs(1));
-        assert_eq!(early.saturating_since(late), SimDuration::ZERO);
-    }
-
-    #[test]
     fn duration_scaling() {
         let d = SimDuration::from_micros(10);
         assert_eq!(d * 3, SimDuration::from_micros(30));
         assert_eq!(d / 2, SimDuration::from_micros(5));
-    }
-
-    #[test]
-    fn from_secs_f64_rounds() {
-        assert_eq!(
-            SimDuration::from_secs_f64(0.5),
-            SimDuration::from_millis(500)
-        );
-        assert_eq!(SimDuration::from_secs_f64(1e-9), SimDuration::from_nanos(1));
-    }
-
-    #[test]
-    #[should_panic(expected = "non-negative")]
-    fn from_secs_f64_rejects_negative() {
-        let _ = SimDuration::from_secs_f64(-1.0);
     }
 
     #[test]
