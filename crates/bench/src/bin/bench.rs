@@ -1,4 +1,4 @@
-//! `bench` — the engine microbenchmarks the repository benchmark
+//! `bench` — the microbenchmarks the repository benchmark
 //! (`perfbench/`) cannot see, emitting `BENCH_<label>.json` and a human
 //! table. See `icpda_bench::perf`.
 //!

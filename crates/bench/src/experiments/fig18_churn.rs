@@ -96,7 +96,7 @@ pub fn run() -> std::io::Result<()> {
         let tag_coverage = if t.eligible == 0 {
             0.0
         } else {
-            (f64::from(t.participants) / t.eligible as f64).min(1.0)
+            f64::from(t.participants) / t.eligible as f64
         };
         (
             i.accuracy(),

@@ -1,21 +1,28 @@
-//! Engine microbenchmarks that the end-to-end benchmark cannot see.
+//! Microbenchmarks that the end-to-end benchmark cannot see.
 //!
 //! The repository benchmark, `perfbench/` (declared by
 //! `BENCHMARK.json`), times whole iCPDA and TAG trials end to end and
 //! splits them by layer; it is the only end-to-end measure. This module
 //! keeps the rows it cannot produce: raw engine events/sec under a
 //! protocol-free beacon load at N=10k (the row CI's ≥1M events/sec
-//! floor reads) and N=50k, the N=50k neighbor-table build, and crypto
-//! seal/open. Each row is the median of k samples after a warm-up pass,
-//! emitted both as a human table and as a machine-readable
-//! `BENCH_<label>.json` (see the `bench` binary).
+//! floor reads) and N=50k, the N=50k neighbor-table build, crypto
+//! seal/open, and the privacy layer's compute rows (𝔽ₚ arithmetic, the
+//! cluster solve, share generation) behind the paper's "light-weight in
+//! computation" claim. Each row is the median of k samples after a
+//! warm-up pass, emitted both as a human table and as a
+//! machine-readable `BENCH_<label>.json` (see the `bench` binary).
 //!
 //! Wall-clock time here measures the *host*, never the simulation:
 //! nothing in this module feeds simulated state, so benchmark runs
 //! cannot perturb any experiment artefact.
 
 use crate::Table;
+use agg::field::Fp;
+use icpda::shares::{assemble, generate_shares, recover_sum};
 use icpda_obs::json::Json;
+use rand::SeedableRng;
+use rand_chacha::ChaCha8Rng;
+use std::hint::black_box;
 use std::time::Instant;
 use wsn_sim::prelude::*;
 use wsn_sim::time::{SimDuration, SimTime};
@@ -25,7 +32,8 @@ use wsn_sim::time::{SimDuration, SimTime};
 pub enum Throughput {
     /// Simulator events executed per second.
     EventsPerSec(u64),
-    /// Crypto operations per second.
+    /// Operations (nodes built, seal/open round trips, field or share
+    /// operations) per second.
     OpsPerSec(u64),
 }
 
@@ -127,13 +135,13 @@ pub fn measure(
     mut iter: impl FnMut() -> u64,
 ) -> BenchResult {
     for _ in 0..warmup {
-        let _ = std::hint::black_box(iter());
+        let _ = black_box(iter());
     }
     let mut samples_secs = Vec::with_capacity(samples);
     let mut units = 0u64;
     for _ in 0..samples.max(1) {
         let started = Instant::now();
-        units = std::hint::black_box(iter());
+        units = black_box(iter());
         samples_secs.push(started.elapsed().as_secs_f64());
     }
     let mut sorted = samples_secs.clone();
@@ -197,7 +205,7 @@ fn engine_events_scaled_run(n: usize) -> u64 {
 /// the node count as the op unit.
 fn neighbor_build_run(n: usize) -> u64 {
     let dep = crate::scaled_deployment(n, 11);
-    std::hint::black_box(dep.average_degree());
+    black_box(dep.average_degree());
     n as u64
 }
 
@@ -212,9 +220,74 @@ fn crypto_seal_open_run(ops: u64) -> u64 {
             acc = acc.wrapping_add(u64::from(plain[0]));
         }
     }
-    std::hint::black_box(acc);
+    black_box(acc);
     ops
 }
+
+/// 𝔽ₚ additions of two opaque operands.
+fn fp_add_run(ops: u64) -> u64 {
+    let (a, b) = (Fp::new(0x1234_5678_9ABC), Fp::new(0x0FED_CBA9_8765));
+    for _ in 0..ops {
+        black_box(black_box(a) + black_box(b));
+    }
+    ops
+}
+
+/// 𝔽ₚ multiplications of two opaque operands.
+fn fp_mul_run(ops: u64) -> u64 {
+    let (a, b) = (Fp::new(0x1234_5678_9ABC), Fp::new(0x0FED_CBA9_8765));
+    for _ in 0..ops {
+        black_box(black_box(a) * black_box(b));
+    }
+    ops
+}
+
+/// 𝔽ₚ inversions of an opaque operand.
+fn fp_inverse_run(ops: u64) -> u64 {
+    let a = Fp::new(0x1234_5678_9ABC);
+    for _ in 0..ops {
+        black_box(black_box(a).inverse().expect("nonzero"));
+    }
+    ops
+}
+
+/// Cluster solves (Lagrange interpolation at zero) over the `m`
+/// assemblies of one single-component cluster.
+fn recover_sum_run(m: usize, ops: u64) -> u64 {
+    let mut rng = ChaCha8Rng::seed_from_u64(7);
+    let all: Vec<_> = (0..m as u64)
+        .map(|i| generate_shares(&[i * 17], m, &mut rng))
+        .collect();
+    let assemblies: Vec<_> = (0..m)
+        .map(|j| assemble(&all.iter().map(|s| s[j].clone()).collect::<Vec<_>>()))
+        .collect();
+    for _ in 0..ops {
+        black_box(recover_sum(black_box(&assemblies)).expect("solvable"));
+    }
+    ops
+}
+
+/// Share generation for one reading (one component) into a cluster of 4.
+fn generate_shares_m4_c1_run(ops: u64) -> u64 {
+    let mut rng = ChaCha8Rng::seed_from_u64(1);
+    for _ in 0..ops {
+        black_box(generate_shares(black_box(&[42]), 4, &mut rng));
+    }
+    ops
+}
+
+/// A row's name, work function, and operations per pass.
+type ComputeRow = (&'static str, fn(u64) -> u64, u64);
+
+/// The privacy layer's compute rows (full matrix only).
+const COMPUTE_ROWS: [ComputeRow; 6] = [
+    ("fp_add", fp_add_run, 20_000_000),
+    ("fp_mul", fp_mul_run, 10_000_000),
+    ("fp_inverse", fp_inverse_run, 100_000),
+    ("recover_sum_m3", |ops| recover_sum_run(3, ops), 20_000),
+    ("recover_sum_m16", |ops| recover_sum_run(16, ops), 5_000),
+    ("generate_shares_m4_c1", generate_shares_m4_c1_run, 100_000),
+];
 
 /// Runs the benchmark matrix and collects the report.
 #[must_use]
@@ -252,6 +325,18 @@ pub fn run_matrix(label: &str, config: PerfConfig) -> BenchReport {
         move || crypto_seal_open_run(crypto_ops),
     ));
     eprintln!("  measured crypto_seal_open_32b");
+    if !config.quick {
+        for (name, run, ops) in COMPUTE_ROWS {
+            results.push(measure(
+                name,
+                samples,
+                warmup,
+                Throughput::OpsPerSec,
+                || run(ops),
+            ));
+            eprintln!("  measured {name}");
+        }
+    }
     BenchReport {
         label: label.to_string(),
         git_rev: git_rev(),
@@ -385,6 +470,13 @@ mod tests {
         let b = engine_events_scaled_run(60);
         assert_eq!(a, b);
         assert!(a > 1000, "beacon load should generate real traffic: {a}");
+    }
+
+    #[test]
+    fn every_compute_row_runs_and_counts_its_ops() {
+        for (name, run, _) in COMPUTE_ROWS {
+            assert_eq!(run(3), 3, "{name}");
+        }
     }
 
     #[test]

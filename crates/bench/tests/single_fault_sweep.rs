@@ -2,7 +2,8 @@
 //!
 //! A clean COUNT round runs with the full event trace. Each rerun then
 //! loses exactly one thing the clean round delivered — one whole
-//! transmission, or one addressed reception — through a 1 ns,
+//! transmission, one addressed reception, or one overheard reception of
+//! an upstream report (what the monitors audit) — through a 1 ns,
 //! loss-1.0 channel-plan window on the link at that delivery instant.
 //! The window is evaluated at delivery time and draws from the
 //! channel's own RNG stream only at that reception, so the rerun must
@@ -14,9 +15,9 @@
 //! it must never cost soundness.
 
 use agg::AggFunction;
-use icpda::{BsDecision, IcpdaConfig, IcpdaNode};
+use icpda::{BsDecision, IcpdaConfig, IcpdaMsg, IcpdaNode};
 use icpda_bench::scaled_deployment;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use wsn_sim::prelude::*;
 use wsn_sim::{TraceEntry, TraceKind};
 
@@ -38,10 +39,48 @@ struct Reception {
     addressed: bool,
 }
 
-/// A finished round: its base-station decision and complete trace.
+/// An [`IcpdaNode`] that notes every upstream report it overhears as
+/// `(node, seq)`, since the trace does not name payloads. Every callback
+/// is forwarded, [`Application::overhears`] included, so the node runs
+/// exactly as it does unwrapped.
+struct Watched {
+    node: IcpdaNode,
+    overheard_upstream: Vec<(NodeId, u64)>,
+}
+
+impl Application for Watched {
+    type Message = IcpdaMsg;
+
+    fn on_start(&mut self, ctx: &mut Context<'_, IcpdaMsg>) {
+        self.node.on_start(ctx);
+    }
+
+    fn on_message(&mut self, ctx: &mut Context<'_, IcpdaMsg>, from: NodeId, msg: &IcpdaMsg) {
+        self.node.on_message(ctx, from, msg);
+    }
+
+    fn on_overhear(&mut self, ctx: &mut Context<'_, IcpdaMsg>, frame: &Frame<IcpdaMsg>) {
+        if matches!(*frame.payload, IcpdaMsg::Upstream { .. }) {
+            self.overheard_upstream.push((ctx.id(), frame.seq));
+        }
+        self.node.on_overhear(ctx, frame);
+    }
+
+    fn overhears(&self, frame: &Frame<IcpdaMsg>) -> bool {
+        self.node.overhears(frame)
+    }
+
+    fn on_timer(&mut self, ctx: &mut Context<'_, IcpdaMsg>, token: TimerToken) {
+        self.node.on_timer(ctx, token);
+    }
+}
+
+/// A finished round: its base-station decision, complete trace, and the
+/// upstream reports its nodes overheard.
 struct Round {
     decision: BsDecision,
     trace: Vec<TraceEntry>,
+    overheard_upstream: BTreeSet<(NodeId, u64)>,
 }
 
 /// Runs one round of `scaled_deployment(n, 1)` over `channel`.
@@ -51,7 +90,10 @@ fn run_round(n: usize, channel: ChannelPlan) -> Round {
     let mut sim_config = SimConfig::paper_default();
     sim_config.trace_capacity = TRACE_CAPACITY;
     let mut sim = Simulator::new(scaled_deployment(n, 1), sim_config, RUN_SEED, |id| {
-        IcpdaNode::new(config, id == NodeId::new(0), readings[id.index()])
+        Watched {
+            node: IcpdaNode::new(config, id == NodeId::new(0), readings[id.index()]),
+            overheard_upstream: Vec::new(),
+        }
     });
     sim.set_channel_plan(channel);
     sim.run_until(SimTime::ZERO + config.schedule.decision_time() + SimDuration::from_secs(1));
@@ -62,6 +104,7 @@ fn run_round(n: usize, channel: ChannelPlan) -> Round {
     );
     let decision = sim
         .app(NodeId::new(0))
+        .node
         .decisions()
         .last()
         .cloned()
@@ -69,6 +112,9 @@ fn run_round(n: usize, channel: ChannelPlan) -> Round {
     Round {
         decision,
         trace: sim.trace().iter().copied().collect(),
+        overheard_upstream: (0..n as u32)
+            .flat_map(|i| sim.app(NodeId::new(i)).overheard_upstream.iter().copied())
+            .collect(),
     }
 }
 
@@ -186,5 +232,29 @@ fn losing_any_one_addressed_reception_keeps_the_round_sound() {
         "{} trace entries; {} single addressed-reception losses, {costly} cost a reading",
         clean.trace.len(),
         addressed.len()
+    );
+}
+
+#[test]
+fn losing_any_one_overheard_upstream_report_keeps_the_round_sound() {
+    let n = 30;
+    let (clean, receptions) = clean_round(n);
+    let overheard: Vec<Reception> = receptions
+        .into_iter()
+        .filter(|r| clean.overheard_upstream.contains(&(r.node, r.seq)))
+        .collect();
+    assert!(
+        overheard.len() > 200,
+        "only {} overheard upstream receptions",
+        overheard.len()
+    );
+    let costly = overheard
+        .iter()
+        .filter(|r| check_rerun(n, &clean, std::slice::from_ref(r)))
+        .count();
+    eprintln!(
+        "{} trace entries; {} single overheard upstream-report losses, {costly} cost a reading",
+        clean.trace.len(),
+        overheard.len()
     );
 }

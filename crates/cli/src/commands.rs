@@ -6,10 +6,10 @@ use icpda::{
     evaluate_disclosure, run_session, AdversaryPlan, Behavior, HeadElection, IcpdaConfig, IcpdaRun,
     IntegrityMode, Pollution,
 };
+use icpda_bench::{paper_deployment, N_SWEEP};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use wsn_crypto::LinkAdversary;
-use wsn_sim::geometry::Region;
 use wsn_sim::prelude::*;
 
 // Each command's accepted flags; `icpda --help` documents every one of
@@ -152,11 +152,6 @@ fn apply_threads(args: &Args) -> Result<(), ParseArgsError> {
         icpda_bench::parallel::set_threads(threads);
     }
     Ok(())
-}
-
-fn deployment(n: usize, seed: u64) -> Deployment {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    Deployment::uniform_random_with_central_bs(n, Region::paper_default(), 50.0, &mut rng)
 }
 
 fn readings_for(function: AggFunction, n: usize, seed: u64) -> Vec<u64> {
@@ -303,7 +298,7 @@ pub fn run(args: &Args) -> Result<(), ParseArgsError> {
         AdversaryPlan::none()
     };
     let readings = readings_for(config.function, n, seed);
-    let dep = deployment(n, seed);
+    let dep = paper_deployment(n, seed);
     println!(
         "deploying {n} nodes (degree {:.1}), {} query...",
         dep.average_degree(),
@@ -490,12 +485,11 @@ pub fn sweep(args: &Args) -> Result<(), ParseArgsError> {
     apply_threads(args)?;
     let seeds: u64 = args.get_or("seeds", 5)?;
     let config = parse_config(args)?;
-    let sizes = [200usize, 300, 400, 500, 600];
     // Independent (n, seed) trials fan out across workers; results come
     // back in job order, so the table is identical to the serial loop.
-    let per_size = icpda_bench::parallel::par_sweep("cli sweep", &sizes, seeds, |&n, seed| {
+    let per_size = icpda_bench::parallel::par_sweep("cli sweep", &N_SWEEP, seeds, |&n, seed| {
         let readings = readings_for(config.function, n, seed);
-        let out = IcpdaRun::new(deployment(n, seed), config, readings, seed).run();
+        let out = IcpdaRun::new(paper_deployment(n, seed), config, readings, seed).run();
         (
             out.accuracy(),
             out.participation(),
@@ -505,7 +499,7 @@ pub fn sweep(args: &Args) -> Result<(), ParseArgsError> {
     });
     println!("nodes | accuracy | participation | bytes    | mJ");
     println!("------+----------+---------------+----------+--------");
-    for (n, trials) in sizes.iter().zip(per_size) {
+    for (n, trials) in N_SWEEP.iter().zip(per_size) {
         let k = seeds as f64;
         println!(
             "{n:>5} | {:>8.3} | {:>13.3} | {:>8.0} | {:>6.1}",
@@ -560,7 +554,7 @@ pub fn attack(args: &Args) -> Result<(), ParseArgsError> {
         // parallel. `None` marks trials where no head formed.
         let verdicts = icpda_bench::parallel::par_trials("cli attack", seeds, |seed| {
             let readings = readings_for(config.function, n, seed);
-            let dep = deployment(n, seed);
+            let dep = paper_deployment(n, seed);
             let honest = IcpdaRun::new(dep.clone(), config, readings.clone(), seed).run();
             let heads: Vec<NodeId> = honest.sharing_heads().take(count).collect();
             if heads.is_empty() {
@@ -583,7 +577,7 @@ pub fn attack(args: &Args) -> Result<(), ParseArgsError> {
         return Ok(());
     }
     let readings = readings_for(config.function, n, seed);
-    let dep = deployment(n, seed);
+    let dep = paper_deployment(n, seed);
     let honest = IcpdaRun::new(dep.clone(), config, readings.clone(), seed).run();
     let heads: Vec<NodeId> = honest.sharing_heads().take(count).collect();
     if heads.is_empty() {
@@ -638,7 +632,7 @@ pub fn privacy(args: &Args) -> Result<(), ParseArgsError> {
     let mut config = IcpdaConfig::paper_default(AggFunction::Count);
     config.election = HeadElection::Fixed(args.get_or("pc", 0.25)?);
     let out = IcpdaRun::new(
-        deployment(n, seed),
+        paper_deployment(n, seed),
         config,
         agg::readings::count_readings(n),
         seed,

@@ -235,10 +235,9 @@ pub struct IcpdaNode {
     upstream_participants: u32,
     absorbed_inputs: Vec<InputClaim>,
     seen_upstream: BTreeSet<(NodeId, u32)>,
-    // Kept as a prepared payload: the duplicate transmission and the
-    // parent-reroute path re-send it with a reference-count bump instead
-    // of deep-cloning the totals/inputs vectors and re-walking wire_size.
-    pending_upstream: Option<SharedPayload<IcpdaMsg>>,
+    // This round's report, kept for the duplicate transmission and the
+    // parent-reroute path.
+    pending_upstream: Option<IcpdaMsg>,
     upstream_sent: bool,
 
     /// One retry budget per blind repeat, indexed by [`Repeat`].
@@ -255,7 +254,7 @@ pub struct IcpdaNode {
 
     // Multi-round state.
     current_round: u16,
-    pending_flood: Option<SharedPayload<IcpdaMsg>>,
+    pending_flood: Option<IcpdaMsg>,
 
     // Quarantine.
     excluded: bool,
@@ -559,7 +558,7 @@ impl IcpdaNode {
             }
             Repeat::Upstream => {
                 let msg = self.pending_upstream.as_ref()?;
-                ctx.send_shared(self.flood_parent?, msg);
+                ctx.send(self.flood_parent?, msg.clone());
             }
             Repeat::Announce => {
                 if self.role != Role::Head || self.has_resigned {
@@ -630,9 +629,9 @@ impl IcpdaNode {
         // Jittered rebroadcast: neighbours reacting to the same query
         // copy would otherwise all transmit within the tiny MAC jitter
         // and collide (broadcast storm).
-        self.pending_flood = Some(SharedPayload::new(IcpdaMsg::Query {
+        self.pending_flood = Some(IcpdaMsg::Query {
             level: level.saturating_add(1),
-        }));
+        });
         let relay_jitter =
             SimDuration::from_nanos(ctx.rng().gen_range(0..FLOOD_RELAY_JITTER.as_nanos()));
         ctx.set_timer(relay_jitter, TIMER_FLOOD_RELAY);
@@ -921,7 +920,7 @@ impl IcpdaNode {
         }
         self.begin_round(ctx, round);
         // Flood the round marker onward with the usual jitter.
-        self.pending_flood = Some(SharedPayload::new(IcpdaMsg::NewRound { round }));
+        self.pending_flood = Some(IcpdaMsg::NewRound { round });
         let relay_jitter =
             SimDuration::from_nanos(ctx.rng().gen_range(0..FLOOD_RELAY_JITTER.as_nanos()));
         ctx.set_timer(relay_jitter, TIMER_FLOOD_RELAY);
@@ -1575,13 +1574,13 @@ impl IcpdaNode {
         let Some(parent) = self.flood_parent else {
             return;
         };
-        let msg = SharedPayload::new(IcpdaMsg::Upstream {
+        let msg = IcpdaMsg::Upstream {
             msg_id: u32::from(self.current_round),
             totals: totals.iter().map(|f| f.to_u64()).collect(),
             participants,
             inputs,
-        });
-        ctx.send_shared(parent, &msg);
+        };
+        ctx.send(parent, msg.clone());
         self.pending_upstream = Some(msg);
         self.upstream_target = Some(parent);
         if !self.arm_repeat(ctx, Repeat::Upstream) {
@@ -1690,7 +1689,7 @@ impl IcpdaNode {
             Some(alt) => {
                 ctx.obs().inc("icpda_parent_rerouted");
                 self.upstream_target = Some(alt);
-                ctx.send_shared(alt, msg);
+                ctx.send(alt, msg.clone());
             }
             None => ctx.obs().inc("icpda_reroute_no_alternate"),
         }
@@ -2122,7 +2121,7 @@ impl Application for IcpdaNode {
             TIMER_REPAIR | TIMER_REPAIR2 => self.handle_repair_timer(ctx),
             TIMER_FLOOD_RELAY => {
                 if let Some(msg) = self.pending_flood.take() {
-                    ctx.broadcast_shared(&msg);
+                    ctx.broadcast(msg);
                 }
             }
             TIMER_FSUM => {

@@ -78,45 +78,6 @@ pub trait Application {
     }
 }
 
-/// A message prepared for (repeated) transmission: the payload behind a
-/// shared allocation plus its wire size, computed **once** at
-/// construction. Retransmission paths (duplicate upstream reports,
-/// flood repeats, roster echoes) hold one of these and re-send it with
-/// [`Context::send_shared`] / [`Context::broadcast_shared`] — each
-/// repeat costs a reference-count bump instead of a deep clone and a
-/// fresh `wire_size()` walk over the message.
-#[derive(Debug, Clone)]
-pub struct SharedPayload<M> {
-    payload: Arc<M>,
-    size_bytes: usize,
-}
-
-impl<M: WireSize> SharedPayload<M> {
-    /// Wraps `payload`, caching its wire size.
-    #[must_use]
-    pub fn new(payload: M) -> Self {
-        let size_bytes = payload.wire_size();
-        SharedPayload {
-            payload: Arc::new(payload),
-            size_bytes,
-        }
-    }
-}
-
-impl<M> SharedPayload<M> {
-    /// The wrapped message.
-    #[must_use]
-    pub fn payload(&self) -> &M {
-        &self.payload
-    }
-
-    /// The cached wire size, as computed at construction.
-    #[must_use]
-    pub fn size_bytes(&self) -> usize {
-        self.size_bytes
-    }
-}
-
 /// Buffered side effect produced by an application callback.
 #[derive(Debug)]
 pub(crate) enum Command<M> {
@@ -233,26 +194,6 @@ impl<'a, M: WireSize> Context<'a, M> {
         });
     }
 
-    /// Queues a unicast of a prepared [`SharedPayload`]: no payload
-    /// clone, no wire-size recomputation — the repeat path for large
-    /// composite messages.
-    pub fn send_shared(&mut self, to: NodeId, payload: &SharedPayload<M>) {
-        self.commands.push(Command::Send {
-            dest: Destination::Unicast(to),
-            payload: Arc::clone(&payload.payload),
-            size_bytes: payload.size_bytes,
-        });
-    }
-
-    /// Queues a broadcast of a prepared [`SharedPayload`].
-    pub fn broadcast_shared(&mut self, payload: &SharedPayload<M>) {
-        self.commands.push(Command::Send {
-            dest: Destination::Broadcast,
-            payload: Arc::clone(&payload.payload),
-            size_bytes: payload.size_bytes,
-        });
-    }
-
     /// Schedules `on_timer(token)` to fire after `delay`.
     pub fn set_timer(&mut self, delay: SimDuration, token: TimerToken) -> TimerId {
         let id = TimerId(*self.next_timer_id);
@@ -332,34 +273,6 @@ mod tests {
                 assert_eq!(*size_bytes, 3);
             }
             other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn shared_payload_caches_wire_size_and_allocation() {
-        let mut cmds = Vec::new();
-        let mut rng = None;
-        let metrics = Metrics::new(4);
-        let mut obs = Obs::off();
-        let mut next_id = 0;
-        let shared = SharedPayload::new(vec![0u8; 13]);
-        assert_eq!(shared.size_bytes(), 13);
-        let mut ctx = harness::<Vec<u8>>(&mut cmds, &mut rng, &metrics, &mut obs, &mut next_id);
-        ctx.send_shared(NodeId::new(1), &shared);
-        ctx.broadcast_shared(&shared);
-        for cmd in &cmds {
-            match cmd {
-                Command::Send {
-                    payload,
-                    size_bytes,
-                    ..
-                } => {
-                    assert_eq!(*size_bytes, 13);
-                    // Same allocation: the repeat path never deep-clones.
-                    assert!(Arc::ptr_eq(payload, &shared.payload));
-                }
-                other => panic!("unexpected {other:?}"),
-            }
         }
     }
 

@@ -68,7 +68,7 @@ pub use icpda_obs::{Obs, ObsLevel, Span, SpanSnapshot};
 
 /// Convenient glob-import of the common simulator types.
 pub mod prelude {
-    pub use crate::app::{Application, Context, SharedPayload, TimerId, TimerToken};
+    pub use crate::app::{Application, Context, TimerId, TimerToken};
     pub use crate::channel::{ChannelPlan, ChannelPlanError, GilbertElliott, LinkWindow};
     pub use crate::fault::{FaultPlan, FaultPlanError};
     pub use crate::frame::{Destination, Frame, WireSize};

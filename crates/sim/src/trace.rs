@@ -329,20 +329,13 @@ impl Trace {
     /// ([`TraceLevel::Off`] or a zero capacity both disable recording
     /// entirely).
     ///
-    /// Invariant: a disabled sink owns no buffer. The level is fixed at
-    /// construction, so `capacity > 0` with `TraceLevel::Off` can never
-    /// record anything — reserving the ring up front would spend memory
-    /// that `enabled() == false` promises is not spent. Construction
-    /// therefore allocates exactly when `enabled()` holds.
+    /// Construction allocates nothing: the ring grows as entries arrive,
+    /// and `capacity` caps it rather than sizing it, so a ring sized
+    /// "large enough" costs only what the run records.
     #[must_use]
     pub fn with_level(capacity: usize, level: TraceLevel) -> Self {
-        let reserve = if capacity > 0 && level > TraceLevel::Off {
-            capacity.min(1 << 20)
-        } else {
-            0
-        };
         Trace {
-            entries: VecDeque::with_capacity(reserve),
+            entries: VecDeque::new(),
             capacity,
             level,
             evicted: 0,
@@ -563,23 +556,14 @@ mod tests {
 
     #[test]
     fn disabled_construction_reserves_no_buffer() {
-        // `capacity > 0` with `Off` is disabled, so it must not reserve
-        // the ring either (see the `with_level` invariant).
-        assert_eq!(
-            Trace::with_level(1 << 10, TraceLevel::Off)
-                .entries
-                .capacity(),
-            0
-        );
-        assert_eq!(Trace::new(0).entries.capacity(), 0);
-        // Enabled sinks still reserve up front, capped at 2^20.
-        assert!(Trace::new(16).entries.capacity() >= 16);
-        assert!(
-            Trace::with_level(usize::MAX, TraceLevel::Full)
-                .entries
-                .capacity()
-                <= 1 << 21
-        );
+        // No sink reserves at construction, enabled or not: the ring
+        // grows as entries arrive, up to its capacity.
+        for level in [TraceLevel::Off, TraceLevel::Full] {
+            for capacity in [0, 1, 16, 1 << 20, usize::MAX] {
+                let tr = Trace::with_level(capacity, level);
+                assert_eq!(tr.entries.capacity(), 0, "{level:?} at {capacity}");
+            }
+        }
     }
 
     #[test]
