@@ -11,7 +11,7 @@
 //!   fig19a), m−1 colluders expose their one honest cluster-mate
 //!   (fig19c), and rounds still deliver under churn and loss (fig18,
 //!   fig20). Each fails when its CSV has no row it applies to;
-//! * every number the F3, F5 and E18–E21 sections of EXPERIMENTS.md
+//! * every number the T1, F3–F5 and E18–E21 sections of EXPERIMENTS.md
 //!   quote from one CSV cell: the cell, rounded half up to the quoted
 //!   decimals, must equal the quoted text, and the section must contain
 //!   it. A change that moves a number then changes the CSV, the
@@ -246,6 +246,18 @@ fn fig20_arq_recovers(csv: &Csv) -> Result<(), String> {
 /// as `column=value` keys joined by `&`, the column, and the number as
 /// the section prints it.
 const QUOTES: &str = "
+# T1's measured degrees.
+T1  | tab1_degree       | nodes=200 | degree (measured) | 8.8
+T1  | tab1_degree       | nodes=400 | degree (measured) | 17.7
+T1  | tab1_degree       | nodes=600 | degree (measured) | 26.6
+# F4 at p_x = 0.1: theory m=3/4/5, the mixture and Monte-Carlo, then 4b.
+F4  | fig4_privacy      | p_x=0.1 | theory m=3            | 0.0100
+F4  | fig4_privacy      | p_x=0.1 | theory m=4            | 0.0010
+F4  | fig4_privacy      | p_x=0.1 | theory m=5            | 0.0001
+F4  | fig4_privacy      | p_x=0.1 | mixture (formed sizes) | 0.00124
+F4  | fig4_privacy      | p_x=0.1 | Monte-Carlo           | 0.00107
+F4  | fig4b_density     | p_x=0.1 | degree≈7 measured     | 0.00180
+F4  | fig4b_density     | p_x=0.1 | degree≈17 measured    | 0.00140
 # F3's table: degree from Table 1, then TAG and iCPDA accuracy.
 F3  | tab1_degree       | nodes=200 | degree (measured) | 8.8
 F3  | tab1_degree       | nodes=300 | degree (measured) | 13.3

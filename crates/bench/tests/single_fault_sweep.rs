@@ -1,4 +1,4 @@
-//! Exhaustive single-loss sweep over one small round, crash recovery off.
+//! Exhaustive single-fault sweep over one small round, crash recovery off.
 //!
 //! A clean COUNT round runs with the full event trace. Each rerun then
 //! loses exactly one thing the clean round delivered — one whole
@@ -7,12 +7,16 @@
 //! loss-1.0 channel-plan window on the link at that delivery instant.
 //! The window is evaluated at delivery time and draws from the
 //! channel's own RNG stream only at that reception, so the rerun must
-//! match the clean trace exactly up to the loss.
+//! match the clean trace exactly up to the loss. Or the rerun crashes one
+//! node (`FaultPlan::crash`) at an instant one of its timers fired in
+//! the clean round; the fault edge is scheduled before any application
+//! event, so at that instant it comes first, and the rerun must match
+//! the clean trace up to it.
 //!
 //! Every rerun must still decide, be accepted with no alarm (there is no
 //! adversary), include no more sensors than are eligible, and decode a
-//! COUNT equal to its participant count. A lost frame may cost readings;
-//! it must never cost soundness.
+//! COUNT equal to its participant count. A lost frame or a dead node may
+//! cost readings; it must never cost soundness.
 
 use agg::AggFunction;
 use icpda::{BsDecision, IcpdaConfig, IcpdaMsg, IcpdaNode};
@@ -22,6 +26,9 @@ use wsn_sim::prelude::*;
 use wsn_sim::{TraceEntry, TraceKind};
 
 const RUN_SEED: u64 = 7;
+/// When the round senses (the share phase opens): a node dead by then is
+/// not eligible, as in `IcpdaRun`'s ground truth.
+const SENSING: SimDuration = SimDuration::from_millis(200);
 /// Room for a whole round at these sizes (about 7.4k entries at N=30);
 /// each run asserts that nothing was evicted, so every trace is the
 /// complete event record, as in the golden-trace fixtures.
@@ -83,8 +90,9 @@ struct Round {
     overheard_upstream: BTreeSet<(NodeId, u64)>,
 }
 
-/// Runs one round of `scaled_deployment(n, 1)` over `channel`.
-fn run_round(n: usize, channel: ChannelPlan) -> Round {
+/// Runs one round of `scaled_deployment(n, 1)` over `channel`, with
+/// `faults`.
+fn run_round(n: usize, channel: ChannelPlan, faults: FaultPlan) -> Round {
     let config = IcpdaConfig::paper_default(AggFunction::Count);
     let readings = agg::readings::count_readings(n);
     let mut sim_config = SimConfig::paper_default();
@@ -96,6 +104,7 @@ fn run_round(n: usize, channel: ChannelPlan) -> Round {
         }
     });
     sim.set_channel_plan(channel);
+    sim.set_fault_plan(faults);
     sim.run_until(SimTime::ZERO + config.schedule.decision_time() + SimDuration::from_secs(1));
     assert_eq!(
         sim.trace().evicted(),
@@ -119,9 +128,7 @@ fn run_round(n: usize, channel: ChannelPlan) -> Round {
 }
 
 /// Asserts what every round must satisfy without an adversary.
-fn assert_sound(n: usize, decision: &BsDecision, what: &str) {
-    // No faults and no quarantine: every sensor is eligible.
-    let eligible = n - 1;
+fn assert_sound(eligible: usize, decision: &BsDecision, what: &str) {
     assert!(
         decision.accepted && decision.alarms.is_empty(),
         "{what}: rejected: {decision:?}"
@@ -139,8 +146,8 @@ fn assert_sound(n: usize, decision: &BsDecision, what: &str) {
 
 /// The clean round, checked, and every reception it delivered.
 fn clean_round(n: usize) -> (Round, Vec<Reception>) {
-    let clean = run_round(n, ChannelPlan::none());
-    assert_sound(n, &clean.decision, "clean round");
+    let clean = run_round(n, ChannelPlan::none(), FaultPlan::none());
+    assert_sound(n - 1, &clean.decision, "clean round");
     let mut src_of = BTreeMap::new();
     let mut receptions = Vec::new();
     for (index, entry) in clean.trace.iter().enumerate() {
@@ -176,10 +183,10 @@ fn check_rerun(n: usize, clean: &Round, drops: &[Reception]) -> bool {
             .degrade_link(r.src, r.node, r.at, until, 1.0)
             .expect("a valid one-reception window");
     }
-    let rerun = run_round(n, plan);
+    let rerun = run_round(n, plan, FaultPlan::none());
     let first = drops[0];
     let what = format!("n={n}, losing frame {} at {:?}", first.seq, first.at);
-    assert_sound(n, &rerun.decision, &what);
+    assert_sound(n - 1, &rerun.decision, &what);
     assert_eq!(
         rerun.trace[..first.index],
         clean.trace[..first.index],
@@ -191,6 +198,33 @@ fn check_rerun(n: usize, clean: &Round, drops: &[Reception]) -> bool {
         cause: LossCause::Stochastic,
     };
     assert_eq!(rerun.trace[first.index].kind, lost, "{what}");
+    rerun.decision.participants < clean.decision.participants
+}
+
+/// Reruns the round with `node` crashed at `at` and checks it. Returns
+/// whether the crash cost a reading.
+fn check_crash(n: usize, clean: &Round, node: NodeId, at: SimTime) -> bool {
+    let mut faults = FaultPlan::none();
+    faults.crash(node, at).expect("only node 0 is immortal");
+    let rerun = run_round(n, ChannelPlan::none(), faults);
+    let what = format!("n={n}, crashing {node:?} at {at:?}");
+    let eligible = if at <= SimTime::ZERO + SENSING {
+        n - 2
+    } else {
+        n - 1
+    };
+    assert_sound(eligible, &rerun.decision, &what);
+    let split = clean.trace.partition_point(|e| e.time < at);
+    assert_eq!(
+        rerun.trace[..split],
+        clean.trace[..split],
+        "{what}: the rerun diverged before the crash"
+    );
+    assert_eq!(
+        (rerun.trace[split].time, rerun.trace[split].kind),
+        (at, TraceKind::NodeDown { node }),
+        "{what}"
+    );
     rerun.decision.participants < clean.decision.participants
 }
 
@@ -257,4 +291,35 @@ fn losing_any_one_overheard_upstream_report_keeps_the_round_sound() {
         clean.trace.len(),
         overheard.len()
     );
+}
+
+#[test]
+fn crashing_any_node_when_a_timer_fires_keeps_the_round_sound() {
+    for (n, floor) in [(20, 250), (30, 350)] {
+        let (clean, _) = clean_round(n);
+        let crashes: BTreeSet<(NodeId, SimTime)> = clean
+            .trace
+            .iter()
+            .filter_map(|entry| match entry.kind {
+                TraceKind::TimerFired { node, .. } if node != NodeId::new(0) => {
+                    Some((node, entry.time))
+                }
+                _ => None,
+            })
+            .collect();
+        assert!(
+            crashes.len() > floor,
+            "n={n}: only {} crash points",
+            crashes.len()
+        );
+        let costly = crashes
+            .iter()
+            .filter(|&&(node, at)| check_crash(n, &clean, node, at))
+            .count();
+        eprintln!(
+            "n={n}: {} trace entries; {} single crashes, {costly} cost a reading",
+            clean.trace.len(),
+            crashes.len()
+        );
+    }
 }

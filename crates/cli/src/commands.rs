@@ -18,7 +18,6 @@ use wsn_sim::prelude::*;
 /// Flags `icpda run` accepts.
 pub const RUN_FLAGS: &[&str] = &[
     "nodes",
-    "n",
     "seed",
     "function",
     "pc",
@@ -242,16 +241,7 @@ fn report_stream(out: &icpda::StreamOutcome) -> Result<(), ParseArgsError> {
 /// `icpda run`.
 pub fn run(args: &Args) -> Result<(), ParseArgsError> {
     check_flags(args, RUN_FLAGS)?;
-    if args.get("n").is_some() && args.get("nodes").is_some() {
-        return Err(ParseArgsError(
-            "--n is an alias of --nodes; give only one".into(),
-        ));
-    }
-    let n: usize = if args.get("n").is_some() {
-        args.get_or("n", 400)?
-    } else {
-        args.get_or("nodes", 400)?
-    };
+    let n: usize = args.get_or("nodes", 400)?;
     let seed: u64 = args.get_or("seed", 7)?;
     let mut config = parse_config(args)?;
     config.rounds = args.get_or("rounds", 1)?;

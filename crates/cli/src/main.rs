@@ -1,7 +1,7 @@
 //! `icpda` — command-line driver for the reproduction.
 //!
 //! ```text
-//! icpda run     --nodes 400 (alias --n) --seed 7 --function count
+//! icpda run     --nodes 400 --seed 7 --function count
 //!               [--pc 0.25] [--integrity on|off] [--rounds 1]
 //!               [--loss 0.05 [--burst 0.8]] [--edge-loss 0.3 [--loss-alpha 4]]
 //!               [--arq on|off] [--churn 0.1]
@@ -33,7 +33,7 @@ USAGE:
 
 COMMANDS:
     run       one aggregation round, printed in full
-              --nodes N (400; alias --n N)  --seed S (7)
+              --nodes N (400)  --seed S (7)
               --function count|sum|avg|var (count)
               --pc P (0.25)    --integrity on|off (on)   --rounds R (1)
               --loss P (0: i.i.d. loss per reception)

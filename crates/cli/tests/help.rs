@@ -39,6 +39,7 @@ fn an_unknown_flag_fails_instead_of_running() {
     // Removed flags must fail before anything runs.
     for args in [
         &["run", "--shards", "4"][..],
+        &["run", "--n", "5"],
         &["run", "--obs-out", "x"],
         &["sweep", "--obs-level", "full"],
         &["sweep", "--obs-stream", "x"],

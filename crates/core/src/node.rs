@@ -156,6 +156,34 @@ fn obs_phase_end(ctx: &mut Context<'_, IcpdaMsg>, name: &'static str) {
     }
 }
 
+/// The roster of a cluster large enough to aggregate privately. A free
+/// function, so a handler can hold it while writing the node's round.
+fn participating(roster: Option<&Roster>) -> Option<&Roster> {
+    roster.filter(|r| r.len() >= MIN_CLUSTER_SIZE)
+}
+
+/// The canonical wire values of an assembly or a totals vector.
+fn wire(values: &[Fp]) -> Vec<u64> {
+    values.iter().map(|f| f.to_u64()).collect()
+}
+
+/// Seals `share` for `peer` under their pairwise key, with the sender's
+/// next nonce from `nonce_counter`.
+fn seal_share(
+    keys: &PairwiseKeys,
+    nonce_counter: &mut u64,
+    me: NodeId,
+    peer: NodeId,
+    share: &ShareVector,
+) -> wsn_crypto::Sealed {
+    let key = keys
+        .link_key(me, peer)
+        .expect("invariant: the pairwise scheme shares a key for every node pair");
+    *nonce_counter += 1;
+    let nonce = (u64::from(me.as_u32()) << 24) | *nonce_counter;
+    seal(key, nonce, &share_to_bytes(share))
+}
+
 /// A node's role after cluster formation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum Role {
@@ -208,13 +236,58 @@ pub struct IcpdaNode {
     joiners: Vec<NodeId>,
     roster: Option<Roster>,
 
+    /// Everything one round aggregates; `begin_round` replaces it whole.
+    round: Round,
+    /// Upstream reports already absorbed, by `(sender, msg_id)`. Message
+    /// ids carry the round, so the set outlives it: a late duplicate of
+    /// an earlier round's report is still dropped.
+    seen_upstream: BTreeSet<(NodeId, u32)>,
+
+    // Head bookkeeping for the repeated roster broadcast; members store
+    // the value from ClusterInfo so later rounds reuse the stagger.
+    my_stagger_ms: u16,
+
+    // Multi-round state.
+    current_round: u16,
+    pending_flood: Option<Box<IcpdaMsg>>,
+
+    // Quarantine.
+    excluded: bool,
+
+    /// Byzantine behaviour (see [`crate::adversary`]); `Lawful` keeps
+    /// every hook dormant, so uncompromised nodes run byte-identically
+    /// to a build without the adversary layer.
+    behavior: Behavior,
+
+    // Crash recovery (all unused unless `config.crash_recovery`).
+    /// Flood levels of neighbours, learnt from their query rebroadcasts;
+    /// the candidate pool for rerouting around a silent parent.
+    neighbor_levels: BTreeMap<NodeId, u16>,
+    /// Any frame heard from our head since we joined it (liveness).
+    head_alive_seen: bool,
+    /// Sequence numbers for late-forward message ids (high 16 bits, so
+    /// they never collide with the round-numbered originals).
+    late_forward_seq: u32,
+
+    // Base station.
+    bs_alarms: Vec<(NodeId, NodeId)>,
+    bs_last_update: Option<SimTime>,
+    decisions: Vec<BsDecision>,
+}
+
+/// One round's aggregation state: shares, assemblies, the cluster
+/// solve, the upstream report and the audit material. A new round starts
+/// from a fresh value, so a field added here needs no reset code.
+#[derive(Default)]
+struct Round {
     // Share exchange.
     shared: bool,
-    /// Shares still to be unicast this round, drained one frame at a time
-    /// with random gaps: an m-member cluster would otherwise offer
+    /// Members whose share is still to be unicast, drained one frame at
+    /// a time with random gaps: an m-member cluster would otherwise offer
     /// m·(m−1) frames to the channel in one burst, and hidden-terminal
     /// collisions at that load starve large clusters of shares entirely.
-    share_sendq: Vec<(NodeId, ShareVector)>,
+    /// The shares themselves stay in `outgoing_shares`.
+    share_sendq: Vec<NodeId>,
     outgoing_shares: BTreeMap<NodeId, ShareVector>,
     received_shares: BTreeMap<NodeId, ShareVector>,
     /// Head-only: sealed shares seen while relaying, keyed `(origin, to)`.
@@ -234,60 +307,41 @@ pub struct IcpdaNode {
     upstream_acc: Vec<Fp>,
     upstream_participants: u32,
     absorbed_inputs: Vec<InputClaim>,
-    seen_upstream: BTreeSet<(NodeId, u32)>,
     // This round's report, kept for the duplicate transmission and the
     // parent-reroute path.
-    pending_upstream: Option<IcpdaMsg>,
+    pending_upstream: Option<Box<IcpdaMsg>>,
     upstream_sent: bool,
 
     /// One retry budget per blind repeat, indexed by [`Repeat`].
     retries: [RetryState; Repeat::COUNT],
 
-    // Integrity.
+    // Integrity. Audit material is per-round: a stale cluster aggregate
+    // from the previous round would convict an honest head as soon as
+    // the readings change.
     monitor: MonitorCache,
     alarms_raised: BTreeSet<NodeId>,
     alarms_forwarded: BTreeSet<(NodeId, NodeId)>,
 
-    // Head bookkeeping for the repeated roster broadcast; members store
-    // the value from ClusterInfo so later rounds reuse the stagger.
-    my_stagger_ms: u16,
-
-    // Multi-round state.
-    current_round: u16,
-    pending_flood: Option<IcpdaMsg>,
-
-    // Quarantine.
-    excluded: bool,
-
-    /// Byzantine behaviour (see [`crate::adversary`]); `Lawful` keeps
-    /// every hook dormant, so uncompromised nodes run byte-identically
-    /// to a build without the adversary layer.
-    behavior: Behavior,
-
-    // Crash recovery (all unused unless `config.crash_recovery`).
-    /// Flood levels of neighbours, learnt from their query rebroadcasts;
-    /// the candidate pool for rerouting around a silent parent.
-    neighbor_levels: BTreeMap<NodeId, u16>,
-    /// Any frame heard from our head since we joined it (liveness).
-    head_alive_seen: bool,
+    // Crash recovery.
     /// Any frame heard from our flood parent after our upstream send —
     /// evidence the parent is alive to forward our report.
     parent_forwarded: bool,
     /// Where our upstream report last went (parent, or the reroute
     /// alternate); late forwards follow the same path.
     upstream_target: Option<NodeId>,
-    /// Sequence numbers for late-forward message ids (high 16 bits, so
-    /// they never collide with the round-numbered originals).
-    late_forward_seq: u32,
     /// Base station only: claim sources already absorbed this round;
     /// a repeated source means two copies of the same input arrived via
     /// different paths, and its totals are subtracted once.
     bs_merged_refs: BTreeSet<MergedRef>,
+}
 
-    // Base station.
-    bs_alarms: Vec<(NodeId, NodeId)>,
-    bs_last_update: Option<SimTime>,
-    decisions: Vec<BsDecision>,
+impl Round {
+    fn new(components: usize) -> Self {
+        Round {
+            upstream_acc: vec![Fp::ZERO; components],
+            ..Round::default()
+        }
+    }
 }
 
 impl IcpdaNode {
@@ -312,24 +366,8 @@ impl IcpdaNode {
             has_resigned: false,
             joiners: Vec::new(),
             roster: None,
-            shared: false,
-            share_sendq: Vec::new(),
-            outgoing_shares: BTreeMap::new(),
-            received_shares: BTreeMap::new(),
-            relay_cache: BTreeMap::new(),
-            raw_readings: BTreeMap::new(),
-            fsums: BTreeMap::new(),
-            cluster_aggregate: None,
-            upstream_acc: vec![Fp::ZERO; components],
-            upstream_participants: 0,
-            absorbed_inputs: Vec::new(),
+            round: Round::new(components),
             seen_upstream: BTreeSet::new(),
-            pending_upstream: None,
-            upstream_sent: false,
-            retries: [RetryState::new(); Repeat::COUNT],
-            monitor: MonitorCache::new(),
-            alarms_raised: BTreeSet::new(),
-            alarms_forwarded: BTreeSet::new(),
             my_stagger_ms: 0,
             current_round: 0,
             pending_flood: None,
@@ -337,10 +375,7 @@ impl IcpdaNode {
             behavior: Behavior::Lawful,
             neighbor_levels: BTreeMap::new(),
             head_alive_seen: false,
-            parent_forwarded: false,
-            upstream_target: None,
             late_forward_seq: 0,
-            bs_merged_refs: BTreeSet::new(),
             bs_alarms: Vec::new(),
             bs_last_update: None,
             decisions: Vec::new(),
@@ -361,12 +396,12 @@ impl IcpdaNode {
     #[must_use]
     pub fn collusion_view(&self) -> CollusionView {
         CollusionView {
-            roster: self.participating_roster().cloned(),
-            shared: self.shared,
+            roster: participating(self.roster.as_ref()).cloned(),
+            shared: self.round.shared,
             reading: self.reading,
-            received_shares: self.received_shares.clone(),
-            outgoing_shares: self.outgoing_shares.clone(),
-            fsums: self.fsums.clone(),
+            received_shares: self.round.received_shares.clone(),
+            outgoing_shares: self.round.outgoing_shares.clone(),
+            fsums: self.round.fsums.clone(),
         }
     }
 
@@ -406,14 +441,14 @@ impl IcpdaNode {
     /// itself to the privacy analysis).
     #[must_use]
     pub fn shared(&self) -> bool {
-        self.shared
+        self.round.shared
     }
 
     /// The cluster aggregate this node recovered (members and heads of
     /// solved clusters).
     #[must_use]
     pub fn cluster_aggregate(&self) -> Option<&CachedAggregate> {
-        self.cluster_aggregate.as_ref()
+        self.round.cluster_aggregate.as_ref()
     }
 
     /// The base station's decision for the most recent completed round
@@ -441,35 +476,18 @@ impl IcpdaNode {
         self.bs_last_update
     }
 
-    fn next_nonce(&mut self, self_id: NodeId) -> u64 {
-        self.nonce_counter += 1;
-        (u64::from(self_id.as_u32()) << 24) | self.nonce_counter
-    }
-
     fn components(&self) -> usize {
         self.config.function.components()
     }
 
-    fn participating_roster(&self) -> Option<&Roster> {
-        self.roster.as_ref().filter(|r| r.len() >= MIN_CLUSTER_SIZE)
-    }
-
-    /// Sends `share` (raw) to `target`, sealed end-to-end, relaying via
-    /// the head when the target is out of radio range.
-    fn send_share(
-        &mut self,
-        ctx: &mut Context<'_, IcpdaMsg>,
-        cluster: NodeId,
-        target: NodeId,
-        share: &ShareVector,
-    ) {
+    /// Sends this round's share for `target`, sealed end-to-end,
+    /// relaying via the head when the target is out of radio range.
+    fn send_share(&mut self, ctx: &mut Context<'_, IcpdaMsg>, cluster: NodeId, target: NodeId) {
+        let Some(share) = self.round.outgoing_shares.get(&target) else {
+            return;
+        };
         let me = ctx.id();
-        let key = self
-            .keys
-            .link_key(me, target)
-            .expect("invariant: the pairwise scheme shares a key for every node pair");
-        let nonce = self.next_nonce(me);
-        let sealed = seal(key, nonce, &share_to_bytes(share));
+        let sealed = seal_share(&self.keys, &mut self.nonce_counter, me, target, share);
         let direct = ctx.neighbors().binary_search(&target).is_ok();
         if direct {
             ctx.send(
@@ -505,7 +523,7 @@ impl IcpdaNode {
         if kind.needs_cluster_arq() && !self.config.reliability.cluster_arq {
             return false;
         }
-        self.retries[kind as usize] = RetryState::new();
+        self.round.retries[kind as usize] = RetryState::new();
         self.rearm_repeat(ctx, kind)
     }
 
@@ -514,7 +532,7 @@ impl IcpdaNode {
     fn rearm_repeat(&mut self, ctx: &mut Context<'_, IcpdaMsg>, kind: Repeat) -> bool {
         let (base, jitter) = kind.timing();
         let rel = self.config.reliability;
-        match self.retries[kind as usize].next_delay(&rel, base, jitter, ctx.rng()) {
+        match self.round.retries[kind as usize].next_delay(&rel, base, jitter, ctx.rng()) {
             Some(delay) => {
                 ctx.set_timer(delay, kind.token());
                 true
@@ -557,7 +575,7 @@ impl IcpdaNode {
                 });
             }
             Repeat::Upstream => {
-                let msg = self.pending_upstream.as_ref()?;
+                let msg = self.round.pending_upstream.as_deref()?;
                 ctx.send(self.flood_parent?, msg.clone());
             }
             Repeat::Announce => {
@@ -577,32 +595,30 @@ impl IcpdaNode {
             }
             Repeat::Shares => {
                 if self.config.privacy == PrivacyMode::Off
-                    || !self.shared
-                    || self.participating_roster().is_none()
-                    || self.outgoing_shares.is_empty()
+                    || !self.round.shared
+                    || participating(self.roster.as_ref()).is_none()
+                    || self.round.outgoing_shares.is_empty()
                 {
                     return None;
                 }
-                let idle = self.share_sendq.is_empty();
-                self.share_sendq.extend(
-                    self.outgoing_shares
-                        .iter()
-                        .map(|(member, share)| (*member, share.clone())),
-                );
+                let idle = self.round.share_sendq.is_empty();
+                self.round
+                    .share_sendq
+                    .extend(self.round.outgoing_shares.keys());
                 if idle {
                     self.drain_one_share(ctx);
                 }
-                return Some(self.outgoing_shares.len() as u64);
+                return Some(self.round.outgoing_shares.len() as u64);
             }
             Repeat::Fsum => {
                 if self.config.privacy == PrivacyMode::Off {
                     return None;
                 }
-                let roster = self.participating_roster()?;
-                let (assembly, contributors) = self.fsums.get(&roster.position(ctx.id())?)?;
+                let roster = participating(self.roster.as_ref())?;
+                let (assembly, contributors) = self.round.fsums.get(&roster.position(ctx.id())?)?;
                 ctx.broadcast(IcpdaMsg::FSum {
                     cluster: roster.head(),
-                    values: assembly.iter().map(|f| f.to_u64()).collect(),
+                    values: wire(assembly),
                     contributors: *contributors,
                 });
             }
@@ -629,9 +645,9 @@ impl IcpdaNode {
         // Jittered rebroadcast: neighbours reacting to the same query
         // copy would otherwise all transmit within the tiny MAC jitter
         // and collide (broadcast storm).
-        self.pending_flood = Some(IcpdaMsg::Query {
+        self.pending_flood = Some(Box::new(IcpdaMsg::Query {
             level: level.saturating_add(1),
-        });
+        }));
         let relay_jitter =
             SimDuration::from_nanos(ctx.rng().gen_range(0..FLOOD_RELAY_JITTER.as_nanos()));
         ctx.set_timer(relay_jitter, TIMER_FLOOD_RELAY);
@@ -878,29 +894,7 @@ impl IcpdaNode {
     /// round's phases over the persistent cluster structure.
     fn begin_round(&mut self, ctx: &mut Context<'_, IcpdaMsg>, round: u16) {
         self.current_round = round;
-        self.received_shares.clear();
-        self.share_sendq.clear();
-        self.outgoing_shares.clear();
-        self.relay_cache.clear();
-        self.raw_readings.clear();
-        self.fsums.clear();
-        self.cluster_aggregate = None;
-        self.shared = false;
-        self.upstream_acc = vec![Fp::ZERO; self.components()];
-        self.upstream_participants = 0;
-        self.absorbed_inputs.clear();
-        self.upstream_sent = false;
-        self.pending_upstream = None;
-        self.retries = [RetryState::new(); Repeat::COUNT];
-        self.alarms_raised.clear();
-        self.alarms_forwarded.clear();
-        self.parent_forwarded = false;
-        self.upstream_target = None;
-        self.bs_merged_refs.clear();
-        // Audit material is per-round: a stale cluster aggregate from the
-        // previous round would convict an honest head as soon as the
-        // readings change.
-        self.monitor = MonitorCache::new();
+        self.round = Round::new(self.components());
         if self.is_base_station {
             return;
         }
@@ -908,9 +902,8 @@ impl IcpdaNode {
         if let Some(level) = self.level {
             self.schedule_upstream(ctx, level);
         }
-        if self.participating_roster().is_some() {
-            let stagger = self.my_stagger_ms;
-            self.schedule_share_phases(ctx, stagger);
+        if participating(self.roster.as_ref()).is_some() {
+            self.schedule_share_phases(ctx, self.my_stagger_ms);
         }
     }
 
@@ -920,14 +913,14 @@ impl IcpdaNode {
         }
         self.begin_round(ctx, round);
         // Flood the round marker onward with the usual jitter.
-        self.pending_flood = Some(IcpdaMsg::NewRound { round });
+        self.pending_flood = Some(Box::new(IcpdaMsg::NewRound { round }));
         let relay_jitter =
             SimDuration::from_nanos(ctx.rng().gen_range(0..FLOOD_RELAY_JITTER.as_nanos()));
         ctx.set_timer(relay_jitter, TIMER_FLOOD_RELAY);
     }
 
     fn handle_shares_timer(&mut self, ctx: &mut Context<'_, IcpdaMsg>) {
-        let Some(roster) = self.participating_roster().cloned() else {
+        let Some(roster) = participating(self.roster.as_ref()) else {
             return;
         };
         let me = ctx.id();
@@ -935,21 +928,17 @@ impl IcpdaNode {
         if self.config.privacy == PrivacyMode::Off {
             // Plain clustering: the raw contribution goes straight to
             // the head (link-encrypted, but the head reads it).
-            self.shared = true;
+            self.round.shared = true;
             let raw: ShareVector = contribution.iter().map(|&c| Fp::new(c)).collect();
-            if me == roster.head() {
-                self.raw_readings.insert(me, raw);
+            let head = roster.head();
+            if me == head {
+                self.round.raw_readings.insert(me, raw);
             } else {
-                let key = self
-                    .keys
-                    .link_key(me, roster.head())
-                    .expect("invariant: the pairwise scheme shares a key for every node pair");
-                let nonce = self.next_nonce(me);
-                let sealed = seal(key, nonce, &share_to_bytes(&raw));
+                let sealed = seal_share(&self.keys, &mut self.nonce_counter, me, head, &raw);
                 ctx.send(
-                    roster.head(),
+                    head,
                     IcpdaMsg::RawReading {
-                        cluster: roster.head(),
+                        cluster: head,
                         sealed,
                     },
                 );
@@ -957,9 +946,9 @@ impl IcpdaNode {
             }
             return;
         }
-        let Some(my_pos) = roster.position(me) else {
+        if !roster.contains(me) {
             return;
-        };
+        }
         let shares = if self.config.crash_recovery {
             // Threshold sharing: any `MIN_CLUSTER_SIZE` surviving
             // assemblies reconstruct the cluster sum, so a member dying
@@ -971,7 +960,7 @@ impl IcpdaNode {
         } else {
             generate_shares(&contribution, roster.len(), ctx.rng())
         };
-        self.shared = true;
+        self.round.shared = true;
         // Byzantine hook (share exchange): a GarbageShares node swaps
         // every outgoing evaluation for fresh uniform field elements —
         // its cluster's recovered sum is silently corrupted. The extra
@@ -982,21 +971,21 @@ impl IcpdaNode {
             ctx.obs().inc("icpda_adv_garbage_shares");
             ctx.trace_adversary(self.behavior.code());
         }
-        // Keep own share locally.
-        self.received_shares.insert(me, shares[my_pos].clone());
-        for (j, &member) in roster.members().iter().enumerate() {
+        for (&member, share) in roster.members().iter().zip(shares) {
             if member == me {
+                // Keep own share locally.
+                self.round.received_shares.insert(me, share);
                 continue;
             }
             let share = if garbage {
-                (0..shares[j].len()).map(|_| random_fp(ctx.rng())).collect()
+                (0..share.len()).map(|_| random_fp(ctx.rng())).collect()
             } else {
-                shares[j].clone()
+                share
             };
-            self.outgoing_shares.insert(member, share.clone());
+            self.round.outgoing_shares.insert(member, share);
             // Queue rather than send: the drain timer spaces the m−1
             // unicasts across the share window (see `share_sendq`).
-            self.share_sendq.push((member, share));
+            self.round.share_sendq.push(member);
         }
         // LIFO drain order doesn't matter; what matters is the spacing.
         self.drain_one_share(ctx);
@@ -1007,17 +996,17 @@ impl IcpdaNode {
     /// timer with a random gap sized so the whole queue lands well before
     /// the repair deadline.
     fn drain_one_share(&mut self, ctx: &mut Context<'_, IcpdaMsg>) {
-        let Some((target, share)) = self.share_sendq.pop() else {
+        let Some(target) = self.round.share_sendq.pop() else {
             return;
         };
-        let Some(roster) = self.participating_roster() else {
-            self.share_sendq.clear();
+        let Some(roster) = participating(self.roster.as_ref()) else {
+            self.round.share_sendq.clear();
             return;
         };
         let head = roster.head();
         let m = roster.len().max(1) as u64;
-        self.send_share(ctx, head, target, &share);
-        if !self.share_sendq.is_empty() {
+        self.send_share(ctx, head, target);
+        if !self.round.share_sendq.is_empty() {
             // Same basis as the batch-start jitter: half the share→repair
             // gap, split across the cluster's frames.
             let window = (REPAIR_AFTER - SHARES_AFTER) / 2;
@@ -1049,7 +1038,7 @@ impl IcpdaNode {
         };
         match open(key, sealed).and_then(|bytes| share_from_bytes(&bytes)) {
             Some(raw) if raw.len() == self.components() => {
-                self.raw_readings.insert(from, raw);
+                self.round.raw_readings.insert(from, raw);
             }
             _ => ctx.obs().inc("icpda_raw_bad"),
         }
@@ -1059,14 +1048,14 @@ impl IcpdaNode {
         if self.config.privacy == PrivacyMode::Off {
             return;
         }
-        let Some(roster) = self.participating_roster().cloned() else {
+        let Some(roster) = participating(self.roster.as_ref()) else {
             return;
         };
         let missing: Vec<NodeId> = roster
             .members()
             .iter()
             .copied()
-            .filter(|m| !self.received_shares.contains_key(m))
+            .filter(|m| !self.round.received_shares.contains_key(m))
             .collect();
         if !missing.is_empty() {
             ctx.obs().add("icpda_shares_missing", missing.len() as u64);
@@ -1104,7 +1093,7 @@ impl IcpdaNode {
             for target in forwards {
                 // A share the head once relayed can be replayed straight
                 // from the cache: one in-range frame, no origin round trip.
-                if let Some(sealed) = self.relay_cache.get(&(target, requester)) {
+                if let Some(sealed) = self.round.relay_cache.get(&(target, requester)) {
                     ctx.obs().inc("icpda_share_cache_replayed");
                     ctx.send(
                         requester,
@@ -1130,9 +1119,9 @@ impl IcpdaNode {
         if !missing.contains(&me) || requester == me {
             return;
         }
-        if let Some(share) = self.outgoing_shares.get(&requester).cloned() {
+        if self.round.outgoing_shares.contains_key(&requester) {
             ctx.obs().inc("icpda_share_resent");
-            self.send_share(ctx, cluster, requester, &share);
+            self.send_share(ctx, cluster, requester);
         }
     }
 
@@ -1155,7 +1144,7 @@ impl IcpdaNode {
         };
         match open(key, sealed).and_then(|bytes| share_from_bytes(&bytes)) {
             Some(share) if share.len() == self.components() => {
-                self.received_shares.insert(origin, share);
+                self.round.received_shares.insert(origin, share);
             }
             _ => ctx.obs().inc("icpda_share_bad"),
         }
@@ -1179,12 +1168,12 @@ impl IcpdaNode {
                 // sealed share is a channel-level duplicate of a relay
                 // already forwarded (ARQ re-sends carry fresh nonces, so
                 // they pass this check and are forwarded again).
-                if self.relay_cache.get(&(origin, to)) == Some(&sealed) {
+                if self.round.relay_cache.get(&(origin, to)) == Some(&sealed) {
                     ctx.obs().inc("icpda_rel_duplicate");
                     return;
                 }
                 ctx.obs().inc("icpda_relay_forwarded");
-                self.relay_cache.insert((origin, to), sealed.clone());
+                self.round.relay_cache.insert((origin, to), sealed.clone());
                 ctx.send(
                     to,
                     IcpdaMsg::Share {
@@ -1201,32 +1190,28 @@ impl IcpdaNode {
         if self.config.privacy == PrivacyMode::Off {
             return;
         }
-        let Some(roster) = self.participating_roster().cloned() else {
+        let Some(roster) = participating(self.roster.as_ref()) else {
             return;
         };
-        let me = ctx.id();
-        let Some(my_pos) = roster.position(me) else {
+        let Some(my_pos) = roster.position(ctx.id()) else {
             return;
         };
         let mut contributors = 0u64;
-        let mut shares = Vec::new();
-        for (&sender, share) in &self.received_shares {
-            if let Some(bit) = roster.mask_bit(sender) {
-                contributors |= bit;
-                shares.push(share.clone());
-            }
+        let mut assembly = assemble(self.round.received_shares.iter().filter_map(
+            |(&sender, share)| {
+                contributors |= roster.mask_bit(sender)?;
+                Some(share)
+            },
+        ));
+        if assembly.is_empty() {
+            assembly = vec![Fp::ZERO; self.components()];
         }
-        let assembly = if shares.is_empty() {
-            vec![Fp::ZERO; self.components()]
-        } else {
-            assemble(&shares)
-        };
-        self.fsums.insert(my_pos, (assembly.clone(), contributors));
         ctx.broadcast(IcpdaMsg::FSum {
             cluster: roster.head(),
-            values: assembly.iter().map(|f| f.to_u64()).collect(),
+            values: wire(&assembly),
             contributors,
         });
+        self.round.fsums.insert(my_pos, (assembly, contributors));
         self.arm_repeat(ctx, Repeat::Fsum);
     }
 
@@ -1234,12 +1219,12 @@ impl IcpdaNode {
         if self.config.privacy == PrivacyMode::Off {
             return;
         }
-        let Some(roster) = self.participating_roster().cloned() else {
+        let Some(roster) = participating(self.roster.as_ref()) else {
             return;
         };
         let mut missing = 0u64;
         for pos in 0..roster.len() {
-            if !self.fsums.contains_key(&pos) {
+            if !self.round.fsums.contains_key(&pos) {
                 missing |= 1 << pos;
             }
         }
@@ -1260,7 +1245,7 @@ impl IcpdaNode {
         cluster: NodeId,
         missing: u64,
     ) {
-        let Some(roster) = self.roster.as_ref().cloned() else {
+        let Some(roster) = self.roster.as_ref() else {
             return;
         };
         if roster.head() != cluster || !roster.contains(from) {
@@ -1273,15 +1258,15 @@ impl IcpdaNode {
         if me == cluster {
             for pos in 0..roster.len() {
                 if missing & (1 << pos) != 0 {
-                    if let Some((assembly, contributors)) = self.fsums.get(&pos).cloned() {
+                    if let Some((assembly, contributors)) = self.round.fsums.get(&pos) {
                         ctx.obs().inc("icpda_fsum_echoed");
                         ctx.send(
                             from,
                             IcpdaMsg::FsumEcho {
                                 cluster,
                                 position: pos as u8,
-                                values: assembly.iter().map(|f| f.to_u64()).collect(),
-                                contributors,
+                                values: wire(assembly),
+                                contributors: *contributors,
                             },
                         );
                     }
@@ -1294,12 +1279,12 @@ impl IcpdaNode {
         if missing & (1 << my_pos) == 0 {
             return;
         }
-        if let Some((assembly, contributors)) = self.fsums.get(&my_pos).cloned() {
+        if let Some((assembly, contributors)) = self.round.fsums.get(&my_pos) {
             ctx.obs().inc("icpda_fsum_resent");
             ctx.broadcast(IcpdaMsg::FSum {
                 cluster,
-                values: assembly.iter().map(|f| f.to_u64()).collect(),
-                contributors,
+                values: wire(assembly),
+                contributors: *contributors,
             });
         }
     }
@@ -1327,9 +1312,9 @@ impl IcpdaNode {
             return;
         }
         let assembly: ShareVector = values.iter().map(|&v| Fp::new(v)).collect();
-        match self.fsums.get(&position) {
+        match self.round.fsums.get(&position) {
             None => {
-                self.fsums.insert(position, (assembly, contributors));
+                self.round.fsums.insert(position, (assembly, contributors));
                 ctx.obs().inc("icpda_fsum_echo_used");
             }
             Some((existing, existing_mask)) => {
@@ -1360,14 +1345,21 @@ impl IcpdaNode {
             return;
         };
         let _ = ctx;
-        self.fsums.insert(
+        self.round.fsums.insert(
             pos,
             (values.iter().map(|&v| Fp::new(v)).collect(), contributors),
         );
     }
 
+    /// Solves the cluster sum from the assemblies that arrived. They are
+    /// grouped by contributor mask and the best group (size, then
+    /// popcount, then lowest mask) is interpolated. Without crash recovery
+    /// all `m` assemblies must arrive and agree. With it, threshold
+    /// sharing makes any `MIN_CLUSTER_SIZE` positions sufficient, so a
+    /// cluster solves with the survivors' shares after a member (or the
+    /// head) dies mid-exchange.
     fn handle_solve_timer(&mut self, ctx: &mut Context<'_, IcpdaMsg>) {
-        let Some(roster) = self.participating_roster().cloned() else {
+        let Some(roster) = participating(self.roster.as_ref()) else {
             return;
         };
         let is_head = self.role == Role::Head;
@@ -1376,44 +1368,50 @@ impl IcpdaNode {
             // the head can produce (or audit) the cluster aggregate —
             // members get no verification material. That asymmetry is the
             // synergy ablation A17 measures.
-            if is_head && !self.raw_readings.is_empty() {
+            if is_head && !self.round.raw_readings.is_empty() {
                 let mut totals = vec![Fp::ZERO; self.components()];
-                for raw in self.raw_readings.values() {
+                for raw in self.round.raw_readings.values() {
                     for (t, &c) in totals.iter_mut().zip(raw) {
                         *t += c;
                     }
                 }
                 let aggregate = CachedAggregate {
                     totals,
-                    participants: self.raw_readings.len() as u32,
+                    participants: self.round.raw_readings.len() as u32,
                 };
-                self.monitor.record_cluster(ctx.id(), aggregate.clone());
-                self.cluster_aggregate = Some(aggregate);
+                self.round
+                    .monitor
+                    .record_cluster(ctx.id(), aggregate.clone());
+                self.round.cluster_aggregate = Some(aggregate);
                 ctx.obs().inc("icpda_head_solved");
             }
             return;
         }
         let m = roster.len();
-        if self.config.crash_recovery {
-            self.solve_with_survivors(ctx, &roster);
-            return;
+        let recovery = self.config.crash_recovery;
+        let required = if recovery { MIN_CLUSTER_SIZE.min(m) } else { m };
+        let mut groups: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
+        for (&pos, &(_, mask)) in &self.round.fsums {
+            groups.entry(mask).or_default().push(pos);
         }
-        if self.fsums.len() != m {
-            ctx.obs().inc(if is_head {
-                "icpda_head_failed_missing_fsum"
-            } else {
-                "icpda_cluster_failed_missing_fsum"
-            });
-            return;
-        }
-        // Positions are keyed 0..m: the length check above plus the
-        // position bound on insert guarantee every key is present, but
-        // `.get()` keeps the path panic-free regardless.
-        let mask = match self.fsums.get(&0) {
-            Some(&(_, mask)) => mask,
-            None => 0,
+        let (mask, positions) = groups
+            .into_iter()
+            .max_by_key(|(mask, positions)| {
+                (positions.len(), mask.count_ones(), std::cmp::Reverse(*mask))
+            })
+            .unwrap_or_default();
+        let missing = if is_head {
+            "icpda_head_failed_missing_fsum"
+        } else {
+            "icpda_cluster_failed_missing_fsum"
         };
-        if (1..m).any(|j| self.fsums.get(&j).is_none_or(|f| f.1 != mask)) {
+        // Without recovery a missing assembly outranks a mask mismatch,
+        // which outranks an empty mask; with it, an empty mask comes first.
+        if positions.is_empty() || (!recovery && self.round.fsums.len() < m) {
+            ctx.obs().inc(missing);
+            return;
+        }
+        if !recovery && positions.len() < m {
             ctx.obs().inc(if is_head {
                 "icpda_head_failed_mask_mismatch"
             } else {
@@ -1425,78 +1423,13 @@ impl IcpdaNode {
             ctx.obs().inc("icpda_cluster_failed_empty");
             return;
         }
-        let points: Vec<(usize, ShareVector)> = self
-            .fsums
-            .iter()
-            .map(|(&p, (a, _))| (p, a.clone()))
-            .collect();
-        let Some(sum) = recover_sum_at(&points) else {
-            ctx.obs().inc("icpda_cluster_failed_solve");
-            return;
-        };
-        let aggregate = CachedAggregate {
-            totals: sum,
-            participants: mask.count_ones(),
-        };
-        // Every member records the aggregate: the head to report it, the
-        // members to audit the head (transparent aggregation).
-        self.monitor
-            .record_cluster(roster.head(), aggregate.clone());
-        self.cluster_aggregate = Some(aggregate);
-        ctx.obs().inc(if is_head {
-            "icpda_head_solved"
-        } else {
-            "icpda_cluster_solved"
-        });
-    }
-
-    /// Crash-recovery solve: instead of demanding all `m` assemblies
-    /// under one consistent contributor mask, group whatever assemblies
-    /// arrived by their mask and interpolate the largest consistent
-    /// group — threshold sharing makes any `MIN_CLUSTER_SIZE` positions
-    /// sufficient, so clusters solve with the survivors' shares after a
-    /// member (or the head) dies mid-exchange.
-    fn solve_with_survivors(&mut self, ctx: &mut Context<'_, IcpdaMsg>, roster: &Roster) {
-        let is_head = self.role == Role::Head;
-        let m = roster.len();
-        let mut groups: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
-        for (&pos, &(_, mask)) in &self.fsums {
-            groups.entry(mask).or_default().push(pos);
-        }
-        let best = groups
-            .iter()
-            .max_by_key(|(mask, positions)| {
-                (
-                    positions.len(),
-                    mask.count_ones(),
-                    std::cmp::Reverse(**mask),
-                )
-            })
-            .map(|(&mask, positions)| (mask, positions.clone()));
-        let Some((mask, positions)) = best else {
-            ctx.obs().inc(if is_head {
-                "icpda_head_failed_missing_fsum"
-            } else {
-                "icpda_cluster_failed_missing_fsum"
-            });
-            return;
-        };
-        if mask == 0 {
-            ctx.obs().inc("icpda_cluster_failed_empty");
-            return;
-        }
-        let threshold = MIN_CLUSTER_SIZE.min(m);
-        if positions.len() < threshold {
-            ctx.obs().inc(if is_head {
-                "icpda_head_failed_missing_fsum"
-            } else {
-                "icpda_cluster_failed_missing_fsum"
-            });
+        if positions.len() < required {
+            ctx.obs().inc(missing);
             return;
         }
         let points: Vec<(usize, ShareVector)> = positions
             .iter()
-            .filter_map(|&p| self.fsums.get(&p).map(|(a, _)| (p, a.clone())))
+            .filter_map(|&p| self.round.fsums.get(&p).map(|(a, _)| (p, a.clone())))
             .collect();
         let Some(sum) = recover_sum_at(&points) else {
             ctx.obs().inc("icpda_cluster_failed_solve");
@@ -1509,9 +1442,12 @@ impl IcpdaNode {
             totals: sum,
             participants: mask.count_ones(),
         };
-        self.monitor
+        // Every member records the aggregate: the head to report it, the
+        // members to audit the head (transparent aggregation).
+        self.round
+            .monitor
             .record_cluster(roster.head(), aggregate.clone());
-        self.cluster_aggregate = Some(aggregate);
+        self.round.cluster_aggregate = Some(aggregate);
         ctx.obs().inc(if is_head {
             "icpda_head_solved"
         } else {
@@ -1524,11 +1460,11 @@ impl IcpdaNode {
             return;
         }
         let me = ctx.id();
-        let mut totals = self.upstream_acc.clone();
-        let mut participants = self.upstream_participants;
-        let mut inputs = self.absorbed_inputs.clone();
+        let mut totals = self.round.upstream_acc.clone();
+        let mut participants = self.round.upstream_participants;
+        let mut inputs = self.round.absorbed_inputs.clone();
         if self.role == Role::Head {
-            if let Some(agg) = &self.cluster_aggregate {
+            if let Some(agg) = &self.round.cluster_aggregate {
                 for (t, &c) in totals.iter_mut().zip(&agg.totals) {
                     *t += c;
                 }
@@ -1543,7 +1479,7 @@ impl IcpdaNode {
         if self.config.crash_recovery {
             self.merge_recovery_inputs(ctx, &mut totals, &mut participants, &mut inputs);
         }
-        self.upstream_sent = true;
+        self.round.upstream_sent = true;
         if let (Behavior::Slander(target), Some(parent)) = (self.behavior, self.flood_parent) {
             // Byzantine hook (accusation): a false alarm every round, sent
             // whether or not the node has a report of its own.
@@ -1576,13 +1512,13 @@ impl IcpdaNode {
         };
         let msg = IcpdaMsg::Upstream {
             msg_id: u32::from(self.current_round),
-            totals: totals.iter().map(|f| f.to_u64()).collect(),
+            totals: wire(&totals),
             participants,
             inputs,
         };
         ctx.send(parent, msg.clone());
-        self.pending_upstream = Some(msg);
-        self.upstream_target = Some(parent);
+        self.round.pending_upstream = Some(Box::new(msg));
+        self.round.upstream_target = Some(parent);
         if !self.arm_repeat(ctx, Repeat::Upstream) {
             // ARQ off: nothing will fire to close the verify span.
             obs_phase_end(ctx, PHASE_ASCENT_VERIFY);
@@ -1621,12 +1557,17 @@ impl IcpdaNode {
         // duplicate claim is subtracted at the base station.
         if let (Role::Member(head), Some(agg), Some(roster)) = (
             self.role,
-            self.cluster_aggregate.clone(),
+            self.round.cluster_aggregate.clone(),
             self.roster.as_ref(),
         ) {
             let head_pos = roster.position(head);
-            let head_silent = head_pos.is_none_or(|hp| !self.fsums.contains_key(&hp));
-            let min_present = self.fsums.keys().copied().find(|p| Some(*p) != head_pos);
+            let head_silent = head_pos.is_none_or(|hp| !self.round.fsums.contains_key(&hp));
+            let min_present = self
+                .round
+                .fsums
+                .keys()
+                .copied()
+                .find(|p| Some(*p) != head_pos);
             let my_pos = roster.position(me);
             if head_silent && my_pos.is_some() && min_present == my_pos {
                 ctx.obs().inc("icpda_takeover_report");
@@ -1643,8 +1584,8 @@ impl IcpdaNode {
         }
         // Orphan / failed-cluster direct report: the reading would
         // otherwise be lost with the cluster.
-        if !self.shared
-            && self.cluster_aggregate.is_none()
+        if !self.round.shared
+            && self.round.cluster_aggregate.is_none()
             && self.level.is_some()
             && !self.excluded
         {
@@ -1667,10 +1608,10 @@ impl IcpdaNode {
     /// the report is re-sent to another lower-level neighbour (which
     /// forwards it immediately via the late-forward path).
     fn handle_parent_check(&mut self, ctx: &mut Context<'_, IcpdaMsg>) {
-        if !self.config.crash_recovery || self.parent_forwarded || !self.upstream_sent {
+        if !self.config.crash_recovery || self.round.parent_forwarded || !self.round.upstream_sent {
             return;
         }
-        let Some(msg) = self.pending_upstream.as_ref() else {
+        let Some(msg) = self.round.pending_upstream.as_deref() else {
             return;
         };
         let Some(my_level) = self.level.filter(|&l| l > 1) else {
@@ -1688,7 +1629,7 @@ impl IcpdaNode {
         match alternate {
             Some(alt) => {
                 ctx.obs().inc("icpda_parent_rerouted");
-                self.upstream_target = Some(alt);
+                self.round.upstream_target = Some(alt);
                 ctx.send(alt, msg.clone());
             }
             None => ctx.obs().inc("icpda_reroute_no_alternate"),
@@ -1709,7 +1650,7 @@ impl IcpdaNode {
         totals_raw: &[u64],
         participants: u32,
     ) {
-        let Some(target) = self.upstream_target.or(self.flood_parent) else {
+        let Some(target) = self.round.upstream_target.or(self.flood_parent) else {
             return;
         };
         self.late_forward_seq += 1;
@@ -1741,7 +1682,7 @@ impl IcpdaNode {
     /// alarm itself, any other node sends it to its flood parent. Returns
     /// whether the accusation is new.
     fn raise_alarm(&mut self, ctx: &mut Context<'_, IcpdaMsg>, accused: NodeId) -> bool {
-        if !self.alarms_raised.insert(accused) {
+        if !self.round.alarms_raised.insert(accused) {
             return false;
         }
         let accuser = ctx.id();
@@ -1767,6 +1708,7 @@ impl IcpdaNode {
             return;
         }
         let outcome = self
+            .round
             .monitor
             .check(totals, participants, inputs, self.config.threshold);
         match outcome {
@@ -1785,7 +1727,7 @@ impl IcpdaNode {
         }
         // Cache after checking (a sender's own message must not vouch for
         // itself).
-        self.monitor.record_upstream(
+        self.round.monitor.record_upstream(
             sender,
             msg_id,
             CachedAggregate {
@@ -1849,7 +1791,7 @@ impl IcpdaNode {
                 // sources are unique per round, so a source seen twice is
                 // subtracted once before absorbing.
                 for claim in inputs {
-                    if !self.bs_merged_refs.insert(claim.source) {
+                    if !self.round.bs_merged_refs.insert(claim.source) {
                         ctx.obs().inc("icpda_bs_dedup");
                         for (t, &c) in totals.iter_mut().zip(&claim.totals) {
                             *t -= Fp::new(c);
@@ -1858,25 +1800,25 @@ impl IcpdaNode {
                     }
                 }
             }
-            for (acc, &t) in self.upstream_acc.iter_mut().zip(&totals) {
+            for (acc, &t) in self.round.upstream_acc.iter_mut().zip(&totals) {
                 *acc += t;
             }
-            self.upstream_participants += participants;
+            self.round.upstream_participants += participants;
             self.bs_last_update = Some(ctx.now());
             return;
         }
-        if self.upstream_sent {
+        if self.round.upstream_sent {
             ctx.obs().inc("icpda_upstream_late");
             if self.config.crash_recovery {
                 self.late_forward(ctx, from, msg_id, totals_raw, participants);
             }
             return;
         }
-        for (acc, &t) in self.upstream_acc.iter_mut().zip(&totals) {
+        for (acc, &t) in self.round.upstream_acc.iter_mut().zip(&totals) {
             *acc += t;
         }
-        self.upstream_participants += participants;
-        self.absorbed_inputs.push(InputClaim {
+        self.round.upstream_participants += participants;
+        self.round.absorbed_inputs.push(InputClaim {
             source: MergedRef::Relay {
                 sender: from,
                 msg_id,
@@ -1893,7 +1835,7 @@ impl IcpdaNode {
             }
             return;
         }
-        if self.alarms_forwarded.insert((accuser, accused)) {
+        if self.round.alarms_forwarded.insert((accuser, accused)) {
             if let Some(parent) = self.flood_parent {
                 ctx.send(parent, IcpdaMsg::Alarm { accuser, accused });
             }
@@ -1909,8 +1851,8 @@ impl IcpdaNode {
                 self.head_alive_seen = true;
             }
         }
-        if self.upstream_sent && self.flood_parent == Some(from) {
-            self.parent_forwarded = true;
+        if self.round.upstream_sent && self.flood_parent == Some(from) {
+            self.round.parent_forwarded = true;
         }
     }
 
@@ -1923,7 +1865,7 @@ impl IcpdaNode {
     }
 
     fn handle_decision_timer(&mut self, ctx: &mut Context<'_, IcpdaMsg>) {
-        let totals: Vec<u64> = self.upstream_acc.iter().map(|f| f.to_u64()).collect();
+        let totals = wire(&self.round.upstream_acc);
         let value = self.config.function.decode(&totals);
         let accepted = self.bs_alarms.is_empty();
         ctx.obs().inc(if accepted {
@@ -1933,7 +1875,7 @@ impl IcpdaNode {
         });
         self.decisions.push(BsDecision {
             totals,
-            participants: self.upstream_participants,
+            participants: self.round.upstream_participants,
             value,
             alarms: std::mem::take(&mut self.bs_alarms),
             accepted,
@@ -2121,7 +2063,7 @@ impl Application for IcpdaNode {
             TIMER_REPAIR | TIMER_REPAIR2 => self.handle_repair_timer(ctx),
             TIMER_FLOOD_RELAY => {
                 if let Some(msg) = self.pending_flood.take() {
-                    ctx.broadcast(msg);
+                    ctx.broadcast(*msg);
                 }
             }
             TIMER_FSUM => {

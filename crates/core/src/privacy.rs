@@ -49,22 +49,11 @@ pub fn evaluate_disclosure(
     rosters: &[(NodeId, Roster)],
     adversary: &LinkAdversary,
 ) -> DisclosureReport {
-    let mut report = DisclosureReport::default();
-    for (node, roster) in rosters {
-        if adversary.node_is_compromised(*node) {
-            continue;
-        }
-        report.sharing_nodes += 1;
-        let exposed = roster
-            .members()
-            .iter()
-            .filter(|&&m| m != *node)
-            .all(|&m| adversary.can_read(*node, m));
-        if exposed {
-            report.disclosed.push(*node);
-        }
-    }
-    report
+    disclosure(
+        rosters,
+        |node| adversary.node_is_compromised(node),
+        |a, b| adversary.can_read(a, b),
+    )
 }
 
 /// Evaluates disclosure under the Eschenauer–Gligor random-key-
@@ -89,18 +78,32 @@ pub fn evaluate_disclosure_with_keys(
         .iter()
         .flat_map(|n| keys.ring(*n).iter().copied())
         .collect();
-    let link_readable = |a: NodeId, b: NodeId| -> bool {
-        if captured.contains(&a) || captured.contains(&b) {
-            return true;
-        }
-        match keys.shared_pool_key(a, b) {
-            Some(k) => captured_keys.contains(&k),
-            None => false, // path key: secure absent endpoint capture
-        }
-    };
+    disclosure(
+        rosters,
+        |node| captured.contains(&node),
+        |a, b| {
+            if captured.contains(&a) || captured.contains(&b) {
+                return true;
+            }
+            match keys.shared_pool_key(a, b) {
+                Some(k) => captured_keys.contains(&k),
+                None => false, // path key: secure absent endpoint capture
+            }
+        },
+    )
+}
+
+/// The exposure rule of both evaluations: every sharing node that is
+/// not `captured` counts, and it is exposed iff every link to its
+/// cluster peers is `link_readable`.
+fn disclosure(
+    rosters: &[(NodeId, Roster)],
+    captured: impl Fn(NodeId) -> bool,
+    link_readable: impl Fn(NodeId, NodeId) -> bool,
+) -> DisclosureReport {
     let mut report = DisclosureReport::default();
     for (node, roster) in rosters {
-        if captured.contains(node) {
+        if captured(*node) {
             continue;
         }
         report.sharing_nodes += 1;

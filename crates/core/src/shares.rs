@@ -112,14 +112,16 @@ fn eval_poly(coeffs: &[Fp], x: Fp) -> Fp {
     coeffs.iter().rev().fold(Fp::ZERO, |acc, &c| acc * x + c)
 }
 
-/// Sums share vectors componentwise (the assembly step `F_j = Σ_i v_j^i`).
+/// Sums share vectors componentwise (the assembly step `F_j = Σ_i v_j^i`);
+/// empty when `shares` is.
 ///
 /// # Panics
 ///
 /// Panics if the vectors disagree on component count.
 #[must_use]
-pub fn assemble(shares: &[ShareVector]) -> ShareVector {
-    let Some(first) = shares.first() else {
+pub fn assemble<'a>(shares: impl IntoIterator<Item = &'a ShareVector>) -> ShareVector {
+    let mut shares = shares.into_iter().peekable();
+    let Some(first) = shares.peek() else {
         return Vec::new();
     };
     let mut acc = vec![Fp::ZERO; first.len()];
