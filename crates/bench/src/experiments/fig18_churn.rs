@@ -26,12 +26,12 @@ const N: usize = 300;
 const RATES: [f64; 5] = [0.0, 0.05, 0.10, 0.15, 0.20];
 
 /// Counters that tick once per successful recovery action.
-const RECOVERY_COUNTERS: [&str; 5] = [
-    "icpda_head_dead_detected",
-    "icpda_takeover_report",
-    "icpda_direct_report",
-    "icpda_parent_rerouted",
-    "icpda_late_forwarded",
+const RECOVERY_COUNTERS: [Counter; 5] = [
+    Counter::HeadDeadDetected,
+    Counter::TakeoverReport,
+    Counter::DirectReport,
+    Counter::ParentRerouted,
+    Counter::LateForwarded,
 ];
 
 /// Builds the churn plan for one trial: crash times are uniform over
@@ -72,12 +72,7 @@ pub fn run() -> std::io::Result<()> {
         let i = IcpdaRun::new(dep, config, readings, run_seed)
             .with_fault_plan(plan.clone())
             .run();
-        let recoveries: u64 = i
-            .user_counters
-            .iter()
-            .filter(|(name, _)| RECOVERY_COUNTERS.contains(name))
-            .map(|&(_, count)| count)
-            .sum();
+        let recoveries: u64 = RECOVERY_COUNTERS.map(|c| i.obs.count(c)).iter().sum();
 
         let tag_config = TagConfig::paper_default(AggFunction::Count);
         let tag_horizon = FORMATION + tag_config.epoch;

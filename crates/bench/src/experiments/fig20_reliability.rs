@@ -78,11 +78,7 @@ fn icpda_trial(
     let out = IcpdaRun::new(dep, config, readings, run_seed)
         .with_channel_plan(channel_plan(loss, burstiness))
         .run();
-    let retransmits = out
-        .user_counters
-        .iter()
-        .find(|(name, _)| *name == "icpda_rel_retransmit")
-        .map_or(0, |&(_, count)| count);
+    let retransmits = out.obs.count(Counter::RelRetransmit);
     let latency = out.last_update.map_or(0.0, |t| t.as_nanos() as f64 / 1e9);
     (
         out.accuracy(),

@@ -345,18 +345,12 @@ pub fn run(args: &Args) -> Result<(), ParseArgsError> {
         out.total_frames, out.total_bytes, out.energy_mj
     );
     println!("collisions    : {}", out.collisions);
-    let counter = |name: &str| {
-        out.user_counters
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map_or(0, |(_, v)| *v)
-    };
     println!(
         "reliability   : {} timeouts, {} retransmits, {} budgets exhausted, {} duplicates dropped",
-        counter("icpda_rel_timeout"),
-        counter("icpda_rel_retransmit"),
-        counter("icpda_rel_exhausted"),
-        counter("icpda_rel_duplicate"),
+        out.obs.count(Counter::RelTimeout),
+        out.obs.count(Counter::RelRetransmit),
+        out.obs.count(Counter::RelExhausted),
+        out.obs.count(Counter::RelDuplicate),
     );
     if out.degraded {
         println!(
@@ -371,23 +365,21 @@ pub fn run(args: &Args) -> Result<(), ParseArgsError> {
             out.participants,
             out.eligible
         );
-        let recoveries: Vec<String> = out
-            .user_counters
-            .iter()
-            .filter(|(name, count)| {
-                *count > 0
-                    && matches!(
-                        *name,
-                        "icpda_head_dead_detected"
-                            | "icpda_takeover_report"
-                            | "icpda_direct_report"
-                            | "icpda_parent_rerouted"
-                            | "icpda_late_forwarded"
-                            | "icpda_solved_degraded"
-                    )
-            })
-            .map(|(name, count)| format!("{} {count}", name.trim_start_matches("icpda_")))
-            .collect();
+        // In name order, as the counters export.
+        let recoveries: Vec<String> = [
+            Counter::DirectReport,
+            Counter::HeadDeadDetected,
+            Counter::LateForwarded,
+            Counter::ParentRerouted,
+            Counter::SolvedDegraded,
+            Counter::TakeoverReport,
+        ]
+        .into_iter()
+        .filter_map(|c| {
+            let count = out.obs.count(c);
+            (count > 0).then(|| format!("{} {count}", c.name().trim_start_matches("icpda_")))
+        })
+        .collect();
         if !recoveries.is_empty() {
             println!("recoveries    : {}", recoveries.join(", "));
         }

@@ -130,23 +130,19 @@ impl MonitorCache {
             return CheckOutcome::Unknown;
         }
         let th = effective_tolerance(threshold);
-        // 1. Public consistency: totals == Σ claimed inputs.
-        let mut claimed_sum = vec![Fp::ZERO; totals.len()];
+        // 1. Public consistency: totals == Σ claimed inputs, summed one
+        //    component at a time.
         let mut claimed_participants: u64 = 0;
         for input in inputs {
             if input.totals.len() != totals.len() {
                 return CheckOutcome::Violation(ViolationKind::InconsistentSum);
             }
-            for (s, &t) in claimed_sum.iter_mut().zip(&input.totals) {
-                *s += Fp::new(t);
-            }
             claimed_participants += u64::from(input.participants);
         }
-        let consistent = totals
-            .iter()
-            .zip(&claimed_sum)
-            .all(|(&c, &e)| (c - e).to_i64_centered().abs() <= th)
-            && u64::from(participants) == claimed_participants;
+        let consistent = totals.iter().enumerate().all(|(i, &c)| {
+            let claimed: Fp = inputs.iter().map(|input| Fp::new(input.totals[i])).sum();
+            (c - claimed).to_i64_centered().abs() <= th
+        }) && u64::from(participants) == claimed_participants;
         if !consistent {
             return CheckOutcome::Violation(ViolationKind::InconsistentSum);
         }

@@ -511,9 +511,9 @@ impl IcpdaNode {
                     sealed,
                 },
             );
-            ctx.obs().inc("icpda_share_relayed");
+            ctx.obs().inc(Counter::ShareRelayed);
         }
-        ctx.obs().inc("icpda_share_sent");
+        ctx.obs().inc(Counter::ShareSent);
     }
 
     /// Arms `kind`'s first blind repeat on a fresh retry budget. Returns
@@ -547,11 +547,11 @@ impl IcpdaNode {
     fn on_repeat(&mut self, ctx: &mut Context<'_, IcpdaMsg>, kind: Repeat) {
         let rearmed = match self.resend(ctx, kind) {
             Some(frames) => {
-                ctx.obs().inc("icpda_rel_timeout");
-                ctx.obs().add("icpda_rel_retransmit", frames);
+                ctx.obs().inc(Counter::RelTimeout);
+                ctx.obs().add(Counter::RelRetransmit, frames);
                 let rearmed = self.rearm_repeat(ctx, kind);
                 if !rearmed {
-                    ctx.obs().inc("icpda_rel_exhausted");
+                    ctx.obs().inc(Counter::RelExhausted);
                 }
                 rearmed
             }
@@ -631,10 +631,12 @@ impl IcpdaNode {
             return;
         }
         self.queries_heard += 1;
-        // Every rebroadcast names the sender's depth: remember it, so a
-        // node whose parent dies can reroute to another lower-level
-        // neighbour (crash recovery).
-        self.neighbor_levels.insert(from, level);
+        // Every rebroadcast names the sender's depth: under crash
+        // recovery, remember it, so a node whose parent dies can reroute
+        // to another lower-level neighbour.
+        if self.config.crash_recovery {
+            self.neighbor_levels.insert(from, level);
+        }
         if self.is_base_station || self.level.is_some() {
             return;
         }
@@ -684,7 +686,7 @@ impl IcpdaNode {
             let jitter =
                 SimDuration::from_nanos(ctx.rng().gen_range(0..ROSTER_AFTER.as_nanos() / 3));
             ctx.set_timer(ROSTER_AFTER + jitter, TIMER_ROSTER);
-            ctx.obs().inc("icpda_heads");
+            ctx.obs().inc(Counter::Heads);
             if self.config.crash_recovery {
                 // Two liveness beacons before the roster deadline: members
                 // that hear neither (nor anything else from us) declare us
@@ -705,7 +707,7 @@ impl IcpdaNode {
     fn handle_join_timer(&mut self, ctx: &mut Context<'_, IcpdaMsg>) {
         if self.heads_heard.is_empty() {
             self.role = Role::Orphan;
-            ctx.obs().inc("icpda_orphan_no_head");
+            ctx.obs().inc(Counter::OrphanNoHead);
             obs_phase_end(ctx, PHASE_CLUSTER_FORMATION);
             return;
         }
@@ -740,7 +742,7 @@ impl IcpdaNode {
         }
         // Silent head: treat it like a resignation — re-join another
         // in-range head, or degrade to orphan (and later direct-report).
-        ctx.obs().inc("icpda_head_dead_detected");
+        ctx.obs().inc(Counter::HeadDeadDetected);
         obs_phase_start(ctx, PHASE_CRASH_RECOVERY);
         self.resigned_heads.insert(head);
         self.schedule_rejoin(ctx);
@@ -760,7 +762,7 @@ impl IcpdaNode {
         self.has_resigned = true;
         self.joiners.clear();
         ctx.broadcast(IcpdaMsg::Resign { head: ctx.id() });
-        ctx.obs().inc("icpda_head_resigned");
+        ctx.obs().inc(Counter::HeadResigned);
         self.schedule_rejoin(ctx);
     }
 
@@ -785,14 +787,14 @@ impl IcpdaNode {
             .collect();
         if candidates.is_empty() {
             self.role = Role::Orphan;
-            ctx.obs().inc("icpda_orphan_no_head");
+            ctx.obs().inc(Counter::OrphanNoHead);
             return;
         }
         let head = candidates[ctx.rng().gen_range(0..candidates.len())];
         self.role = Role::Member(head);
         ctx.send(head, IcpdaMsg::Join { head });
         self.arm_repeat(ctx, Repeat::Join);
-        ctx.obs().inc("icpda_rejoined");
+        ctx.obs().inc(Counter::Rejoined);
         if self.config.crash_recovery {
             self.schedule_head_check(ctx);
         }
@@ -824,7 +826,7 @@ impl IcpdaNode {
             self.arm_repeat(ctx, Repeat::Roster);
             self.schedule_share_phases(ctx, stagger_ms);
         } else {
-            ctx.obs().inc("icpda_cluster_too_small");
+            ctx.obs().inc(Counter::ClusterTooSmall);
         }
     }
 
@@ -871,13 +873,13 @@ impl IcpdaNode {
             return;
         }
         let Ok(roster) = Roster::from_wire(head, members) else {
-            ctx.obs().inc("icpda_bad_roster");
+            ctx.obs().inc(Counter::BadRoster);
             return;
         };
         if !roster.contains(ctx.id()) {
             // Our join was lost or the cluster was full.
             self.role = Role::Orphan;
-            ctx.obs().inc("icpda_orphan_join_lost");
+            ctx.obs().inc(Counter::OrphanJoinLost);
             obs_phase_end(ctx, PHASE_CLUSTER_FORMATION);
             return;
         }
@@ -942,7 +944,7 @@ impl IcpdaNode {
                         sealed,
                     },
                 );
-                ctx.obs().inc("icpda_raw_sent");
+                ctx.obs().inc(Counter::RawSent);
             }
             return;
         }
@@ -968,7 +970,7 @@ impl IcpdaNode {
         // draw exactly what they would in a clean run.
         let garbage = self.behavior == Behavior::GarbageShares;
         if garbage {
-            ctx.obs().inc("icpda_adv_garbage_shares");
+            ctx.obs().inc(Counter::AdvGarbageShares);
             ctx.trace_adversary(self.behavior.code());
         }
         for (&member, share) in roster.members().iter().zip(shares) {
@@ -1040,7 +1042,7 @@ impl IcpdaNode {
             Some(raw) if raw.len() == self.components() => {
                 self.round.raw_readings.insert(from, raw);
             }
-            _ => ctx.obs().inc("icpda_raw_bad"),
+            _ => ctx.obs().inc(Counter::RawBad),
         }
     }
 
@@ -1058,7 +1060,7 @@ impl IcpdaNode {
             .filter(|m| !self.round.received_shares.contains_key(m))
             .collect();
         if !missing.is_empty() {
-            ctx.obs().add("icpda_shares_missing", missing.len() as u64);
+            ctx.obs().add(Counter::SharesMissing, missing.len() as u64);
             ctx.broadcast(IcpdaMsg::ShareNack {
                 cluster: roster.head(),
                 requester: ctx.id(),
@@ -1094,7 +1096,7 @@ impl IcpdaNode {
                 // A share the head once relayed can be replayed straight
                 // from the cache: one in-range frame, no origin round trip.
                 if let Some(sealed) = self.round.relay_cache.get(&(target, requester)) {
-                    ctx.obs().inc("icpda_share_cache_replayed");
+                    ctx.obs().inc(Counter::ShareCacheReplayed);
                     ctx.send(
                         requester,
                         IcpdaMsg::Share {
@@ -1105,7 +1107,7 @@ impl IcpdaNode {
                     );
                     continue;
                 }
-                ctx.obs().inc("icpda_nack_forwarded");
+                ctx.obs().inc(Counter::NackForwarded);
                 ctx.send(
                     target,
                     IcpdaMsg::ShareNack {
@@ -1120,7 +1122,7 @@ impl IcpdaNode {
             return;
         }
         if self.round.outgoing_shares.contains_key(&requester) {
-            ctx.obs().inc("icpda_share_resent");
+            ctx.obs().inc(Counter::ShareResent);
             self.send_share(ctx, cluster, requester);
         }
     }
@@ -1146,7 +1148,7 @@ impl IcpdaNode {
             Some(share) if share.len() == self.components() => {
                 self.round.received_shares.insert(origin, share);
             }
-            _ => ctx.obs().inc("icpda_share_bad"),
+            _ => ctx.obs().inc(Counter::ShareBad),
         }
     }
 
@@ -1169,10 +1171,10 @@ impl IcpdaNode {
                 // already forwarded (ARQ re-sends carry fresh nonces, so
                 // they pass this check and are forwarded again).
                 if self.round.relay_cache.get(&(origin, to)) == Some(&sealed) {
-                    ctx.obs().inc("icpda_rel_duplicate");
+                    ctx.obs().inc(Counter::RelDuplicate);
                     return;
                 }
-                ctx.obs().inc("icpda_relay_forwarded");
+                ctx.obs().inc(Counter::RelayForwarded);
                 self.round.relay_cache.insert((origin, to), sealed.clone());
                 ctx.send(
                     to,
@@ -1230,7 +1232,7 @@ impl IcpdaNode {
         }
         if missing != 0 {
             ctx.obs()
-                .add("icpda_fsums_missing", missing.count_ones().into());
+                .add(Counter::FsumsMissing, missing.count_ones().into());
             ctx.broadcast(IcpdaMsg::FsumNack {
                 cluster: roster.head(),
                 missing,
@@ -1259,7 +1261,7 @@ impl IcpdaNode {
             for pos in 0..roster.len() {
                 if missing & (1 << pos) != 0 {
                     if let Some((assembly, contributors)) = self.round.fsums.get(&pos) {
-                        ctx.obs().inc("icpda_fsum_echoed");
+                        ctx.obs().inc(Counter::FsumEchoed);
                         ctx.send(
                             from,
                             IcpdaMsg::FsumEcho {
@@ -1280,7 +1282,7 @@ impl IcpdaNode {
             return;
         }
         if let Some((assembly, contributors)) = self.round.fsums.get(&my_pos) {
-            ctx.obs().inc("icpda_fsum_resent");
+            ctx.obs().inc(Counter::FsumResent);
             ctx.broadcast(IcpdaMsg::FSum {
                 cluster,
                 values: wire(assembly),
@@ -1315,13 +1317,13 @@ impl IcpdaNode {
         match self.round.fsums.get(&position) {
             None => {
                 self.round.fsums.insert(position, (assembly, contributors));
-                ctx.obs().inc("icpda_fsum_echo_used");
+                ctx.obs().inc(Counter::FsumEchoUsed);
             }
             Some((existing, existing_mask)) => {
                 if *existing != assembly || *existing_mask != contributors {
                     // The direct broadcast is authoritative; a conflicting
                     // echo means someone is lying.
-                    ctx.obs().inc("icpda_echo_conflict");
+                    ctx.obs().inc(Counter::EchoConflict);
                 }
             }
         }
@@ -1383,7 +1385,7 @@ impl IcpdaNode {
                     .monitor
                     .record_cluster(ctx.id(), aggregate.clone());
                 self.round.cluster_aggregate = Some(aggregate);
-                ctx.obs().inc("icpda_head_solved");
+                ctx.obs().inc(Counter::HeadSolved);
             }
             return;
         }
@@ -1401,9 +1403,9 @@ impl IcpdaNode {
             })
             .unwrap_or_default();
         let missing = if is_head {
-            "icpda_head_failed_missing_fsum"
+            Counter::HeadFailedMissingFsum
         } else {
-            "icpda_cluster_failed_missing_fsum"
+            Counter::ClusterFailedMissingFsum
         };
         // Without recovery a missing assembly outranks a mask mismatch,
         // which outranks an empty mask; with it, an empty mask comes first.
@@ -1413,30 +1415,30 @@ impl IcpdaNode {
         }
         if !recovery && positions.len() < m {
             ctx.obs().inc(if is_head {
-                "icpda_head_failed_mask_mismatch"
+                Counter::HeadFailedMaskMismatch
             } else {
-                "icpda_cluster_failed_mask_mismatch"
+                Counter::ClusterFailedMaskMismatch
             });
             return;
         }
         if mask == 0 {
-            ctx.obs().inc("icpda_cluster_failed_empty");
+            ctx.obs().inc(Counter::ClusterFailedEmpty);
             return;
         }
         if positions.len() < required {
             ctx.obs().inc(missing);
             return;
         }
-        let points: Vec<(usize, ShareVector)> = positions
+        let points: Vec<(usize, &ShareVector)> = positions
             .iter()
-            .filter_map(|&p| self.round.fsums.get(&p).map(|(a, _)| (p, a.clone())))
+            .filter_map(|&p| self.round.fsums.get(&p).map(|(a, _)| (p, a)))
             .collect();
         let Some(sum) = recover_sum_at(&points) else {
-            ctx.obs().inc("icpda_cluster_failed_solve");
+            ctx.obs().inc(Counter::ClusterFailedSolve);
             return;
         };
         if positions.len() < m {
-            ctx.obs().inc("icpda_solved_degraded");
+            ctx.obs().inc(Counter::SolvedDegraded);
         }
         let aggregate = CachedAggregate {
             totals: sum,
@@ -1449,9 +1451,9 @@ impl IcpdaNode {
             .record_cluster(roster.head(), aggregate.clone());
         self.round.cluster_aggregate = Some(aggregate);
         ctx.obs().inc(if is_head {
-            "icpda_head_solved"
+            Counter::HeadSolved
         } else {
-            "icpda_cluster_solved"
+            Counter::ClusterSolved
         });
     }
 
@@ -1483,7 +1485,7 @@ impl IcpdaNode {
         if let (Behavior::Slander(target), Some(parent)) = (self.behavior, self.flood_parent) {
             // Byzantine hook (accusation): a false alarm every round, sent
             // whether or not the node has a report of its own.
-            ctx.obs().inc("icpda_slander_sent");
+            ctx.obs().inc(Counter::SlanderSent);
             ctx.trace_adversary(self.behavior.code());
             ctx.send(
                 parent,
@@ -1494,7 +1496,7 @@ impl IcpdaNode {
             );
         }
         if participants == 0 && inputs.is_empty() {
-            ctx.obs().inc("icpda_upstream_skipped");
+            ctx.obs().inc(Counter::UpstreamSkipped);
             return;
         }
         if self.config.integrity == IntegrityMode::Off {
@@ -1504,7 +1506,7 @@ impl IcpdaNode {
             // Byzantine hook (aggregation): applied after every honest
             // step, so the polluted report is exactly what goes on air.
             pollution.apply(&mut totals, &mut participants, &mut inputs);
-            ctx.obs().inc("icpda_adv_polluted");
+            ctx.obs().inc(Counter::AdvPolluted);
             ctx.trace_adversary(self.behavior.code());
         }
         let Some(parent) = self.flood_parent else {
@@ -1534,7 +1536,7 @@ impl IcpdaNode {
                 ctx.set_timer(slot * 2 + PARENT_CHECK_SLACK, TIMER_PARENT_CHECK);
             }
         }
-        ctx.obs().inc("icpda_upstream_sent");
+        ctx.obs().inc(Counter::UpstreamSent);
     }
 
     /// Crash-recovery additions to this node's own upstream report: a
@@ -1570,7 +1572,7 @@ impl IcpdaNode {
                 .find(|p| Some(*p) != head_pos);
             let my_pos = roster.position(me);
             if head_silent && my_pos.is_some() && min_present == my_pos {
-                ctx.obs().inc("icpda_takeover_report");
+                ctx.obs().inc(Counter::TakeoverReport);
                 for (t, &c) in totals.iter_mut().zip(&agg.totals) {
                     *t += c;
                 }
@@ -1589,7 +1591,7 @@ impl IcpdaNode {
             && self.level.is_some()
             && !self.excluded
         {
-            ctx.obs().inc("icpda_direct_report");
+            ctx.obs().inc(Counter::DirectReport);
             let contribution = self.config.function.encode(self.reading);
             for (t, &c) in totals.iter_mut().zip(&contribution) {
                 *t += Fp::new(c);
@@ -1628,11 +1630,11 @@ impl IcpdaNode {
             .map(|(&n, _)| n);
         match alternate {
             Some(alt) => {
-                ctx.obs().inc("icpda_parent_rerouted");
+                ctx.obs().inc(Counter::ParentRerouted);
                 self.round.upstream_target = Some(alt);
                 ctx.send(alt, msg.clone());
             }
-            None => ctx.obs().inc("icpda_reroute_no_alternate"),
+            None => ctx.obs().inc(Counter::RerouteNoAlternate),
         }
     }
 
@@ -1666,7 +1668,7 @@ impl IcpdaNode {
         if self.config.integrity == IntegrityMode::Off {
             inputs.clear();
         }
-        ctx.obs().inc("icpda_late_forwarded");
+        ctx.obs().inc(Counter::LateForwarded);
         ctx.send(
             target,
             IcpdaMsg::Upstream {
@@ -1694,36 +1696,37 @@ impl IcpdaNode {
         true
     }
 
-    /// Shared audit path for received and overheard upstream reports.
+    /// Shared audit path for received and overheard upstream reports;
+    /// `totals` moves into the monitor cache.
     fn audit_upstream(
         &mut self,
         ctx: &mut Context<'_, IcpdaMsg>,
         sender: NodeId,
         msg_id: u32,
-        totals: &[Fp],
+        totals: Vec<Fp>,
         participants: u32,
         inputs: &[InputClaim],
     ) {
         if self.config.integrity == IntegrityMode::Off {
             return;
         }
-        let outcome = self
-            .round
-            .monitor
-            .check(totals, participants, inputs, self.config.threshold);
+        let outcome =
+            self.round
+                .monitor
+                .check(&totals, participants, inputs, self.config.threshold);
         match outcome {
             CheckOutcome::Violation(kind) => {
                 ctx.obs().inc(match kind {
-                    ViolationKind::InconsistentSum => "icpda_violation_inconsistent",
-                    ViolationKind::ForgedInput => "icpda_violation_forged_input",
+                    ViolationKind::InconsistentSum => Counter::ViolationInconsistent,
+                    ViolationKind::ForgedInput => Counter::ViolationForgedInput,
                 });
                 if self.raise_alarm(ctx, sender) {
-                    ctx.obs().inc("icpda_alarm_raised");
+                    ctx.obs().inc(Counter::AlarmRaised);
                 }
             }
-            CheckOutcome::Clean => ctx.obs().inc("icpda_audit_clean"),
-            CheckOutcome::PartialClean => ctx.obs().inc("icpda_audit_partial"),
-            CheckOutcome::Unknown => ctx.obs().inc("icpda_audit_unknown"),
+            CheckOutcome::Clean => ctx.obs().inc(Counter::AuditClean),
+            CheckOutcome::PartialClean => ctx.obs().inc(Counter::AuditPartial),
+            CheckOutcome::Unknown => ctx.obs().inc(Counter::AuditUnknown),
         }
         // Cache after checking (a sender's own message must not vouch for
         // itself).
@@ -1731,7 +1734,7 @@ impl IcpdaNode {
             sender,
             msg_id,
             CachedAggregate {
-                totals: totals.to_vec(),
+                totals,
                 participants,
             },
         );
@@ -1751,13 +1754,13 @@ impl IcpdaNode {
         // their own slot; the base station only ever receives).
         obs_phase_start(ctx, PHASE_ASCENT_VERIFY);
         if totals_raw.len() != self.components() {
-            ctx.obs().inc("icpda_upstream_malformed");
+            ctx.obs().inc(Counter::UpstreamMalformed);
             return;
         }
         let totals: Vec<Fp> = totals_raw.iter().map(|&v| Fp::new(v)).collect();
         if !self.seen_upstream.insert((from, msg_id)) {
-            ctx.obs().inc("icpda_upstream_duplicate");
-            ctx.obs().inc("icpda_rel_duplicate");
+            ctx.obs().inc(Counter::UpstreamDuplicate);
+            ctx.obs().inc(Counter::RelDuplicate);
             return;
         }
         // Byzantine hook (ascent): a SelectiveForward node black-holes
@@ -1765,7 +1768,7 @@ impl IcpdaNode {
         // nowhere. The base station itself never drops (node 0 is
         // honest by construction).
         if !self.is_base_station && self.behavior == Behavior::SelectiveForward {
-            ctx.obs().inc("icpda_adv_dropped_upstream");
+            ctx.obs().inc(Counter::AdvDroppedUpstream);
             ctx.trace_adversary(self.behavior.code());
             return;
         }
@@ -1777,11 +1780,11 @@ impl IcpdaNode {
             && inputs.is_empty()
             && (participants > 0 || totals.iter().any(|t| !t.is_zero()))
         {
-            ctx.obs().inc("icpda_upstream_unaudited");
+            ctx.obs().inc(Counter::UpstreamUnaudited);
             self.raise_alarm(ctx, from);
             return;
         }
-        self.audit_upstream(ctx, from, msg_id, &totals, participants, inputs);
+        self.audit_upstream(ctx, from, msg_id, totals.clone(), participants, inputs);
         if self.is_base_station {
             let mut totals = totals;
             let mut participants = participants;
@@ -1792,7 +1795,7 @@ impl IcpdaNode {
                 // subtracted once before absorbing.
                 for claim in inputs {
                     if !self.round.bs_merged_refs.insert(claim.source) {
-                        ctx.obs().inc("icpda_bs_dedup");
+                        ctx.obs().inc(Counter::BsDedup);
                         for (t, &c) in totals.iter_mut().zip(&claim.totals) {
                             *t -= Fp::new(c);
                         }
@@ -1808,7 +1811,7 @@ impl IcpdaNode {
             return;
         }
         if self.round.upstream_sent {
-            ctx.obs().inc("icpda_upstream_late");
+            ctx.obs().inc(Counter::UpstreamLate);
             if self.config.crash_recovery {
                 self.late_forward(ctx, from, msg_id, totals_raw, participants);
             }
@@ -1860,7 +1863,7 @@ impl IcpdaNode {
         if !self.config.crash_recovery || self.role != Role::Head || self.has_resigned {
             return;
         }
-        ctx.obs().inc("icpda_beacon_sent");
+        ctx.obs().inc(Counter::BeaconSent);
         ctx.broadcast(IcpdaMsg::HeadBeacon { head: ctx.id() });
     }
 
@@ -1869,9 +1872,9 @@ impl IcpdaNode {
         let value = self.config.function.decode(&totals);
         let accepted = self.bs_alarms.is_empty();
         ctx.obs().inc(if accepted {
-            "icpda_round_accepted"
+            Counter::RoundAccepted
         } else {
-            "icpda_round_rejected"
+            Counter::RoundRejected
         });
         self.decisions.push(BsDecision {
             totals,
@@ -1912,7 +1915,7 @@ impl Application for IcpdaNode {
                     // Duplicate-safe: a retransmitted or channel-duplicated
                     // announce must not skew the head-pick distribution.
                     if self.heads_heard.contains(&from) {
-                        ctx.obs().inc("icpda_rel_duplicate");
+                        ctx.obs().inc(Counter::RelDuplicate);
                     } else {
                         self.heads_heard.push(from);
                     }
@@ -1927,7 +1930,7 @@ impl Application for IcpdaNode {
                             self.schedule_rejoin(ctx);
                         }
                     } else {
-                        ctx.obs().inc("icpda_rel_duplicate");
+                        ctx.obs().inc(Counter::RelDuplicate);
                     }
                 }
             }
@@ -1940,7 +1943,7 @@ impl Application for IcpdaNode {
                     // Duplicate-safe: one roster slot per joiner no matter
                     // how many copies of the Join arrive.
                     if self.joiners.contains(&from) {
-                        ctx.obs().inc("icpda_rel_duplicate");
+                        ctx.obs().inc(Counter::RelDuplicate);
                     } else {
                         self.joiners.push(from);
                     }
@@ -2035,8 +2038,8 @@ impl Application for IcpdaNode {
         } = &*frame.payload
         {
             if totals.len() == self.components() {
-                let totals: Vec<Fp> = totals.iter().map(|&v| Fp::new(v)).collect();
-                self.audit_upstream(ctx, frame.src, *msg_id, &totals, *participants, inputs);
+                let totals = totals.iter().map(|&v| Fp::new(v)).collect();
+                self.audit_upstream(ctx, frame.src, *msg_id, totals, *participants, inputs);
             }
         }
     }

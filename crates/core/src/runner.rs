@@ -277,15 +277,16 @@ impl IcpdaRun {
             // Per-cause loss totals, for the `icpda obs report` loss
             // breakdown table.
             let m = sim.metrics();
-            obs.add("sim_lost_collision", m.total_lost(LossCause::Collision));
-            obs.add("sim_lost_stochastic", m.total_lost(LossCause::Stochastic));
-            obs.add("sim_lost_half_duplex", m.total_lost(LossCause::HalfDuplex));
-            obs.add("sim_lost_mac_drop", m.total_lost(LossCause::MacDrop));
-            obs.add(
-                "sim_lost_receiver_down",
-                m.total_lost(LossCause::ReceiverDown),
-            );
-            obs.add("sim_lost_corrupt", m.total_lost(LossCause::Corrupt));
+            for (counter, cause) in [
+                (Counter::SimLostCollision, LossCause::Collision),
+                (Counter::SimLostStochastic, LossCause::Stochastic),
+                (Counter::SimLostHalfDuplex, LossCause::HalfDuplex),
+                (Counter::SimLostMacDrop, LossCause::MacDrop),
+                (Counter::SimLostReceiverDown, LossCause::ReceiverDown),
+                (Counter::SimLostCorrupt, LossCause::Corrupt),
+            ] {
+                obs.add(counter, m.total_lost(cause));
+            }
             if !self.adversary_plan.is_empty() {
                 obs.gauge_set(
                     "icpda.adversaries",
@@ -436,7 +437,7 @@ impl IcpdaRun {
             included,
             cluster_sizes,
             rosters,
-            clusters_solved: obs.counter("icpda_head_solved"),
+            clusters_solved: obs.count(Counter::HeadSolved),
             total_bytes: metrics.total_bytes_sent(),
             total_frames: metrics.total_frames_sent(),
             energy_mj: metrics.total_energy_mj(),

@@ -17,7 +17,8 @@
 //! holding all `m` broadcasts recovers the sum by Lagrange interpolation
 //! at zero — without ever seeing an individual `d_i`.
 
-use agg::field::{random_fp, Fp};
+use crate::config::MAX_CLUSTER_SIZE;
+use agg::field::{random_fp, Fp, MODULUS};
 use rand::Rng;
 
 /// The public, pairwise-distinct, non-zero evaluation seeds of a
@@ -145,7 +146,7 @@ pub fn assemble<'a>(shares: impl IntoIterator<Item = &'a ShareVector>) -> ShareV
 /// counts disagree (a malformed cluster round).
 #[must_use]
 pub fn recover_sum(assemblies: &[ShareVector]) -> Option<ShareVector> {
-    recover_sum_at(&assemblies.iter().cloned().enumerate().collect::<Vec<_>>())
+    recover_sum_at(&assemblies.iter().enumerate().collect::<Vec<_>>())
 }
 
 /// Recovers the cluster-sum vector from a *subset* of the broadcast
@@ -155,24 +156,77 @@ pub fn recover_sum(assemblies: &[ShareVector]) -> Option<ShareVector> {
 /// the sharing threshold (with more points, interpolation of a
 /// lower-degree polynomial is still exact).
 ///
+/// A full set — positions `0..k` in order, `k ≤ MAX_CLUSTER_SIZE`, which
+/// is every solve without crash recovery — takes its weights from a
+/// table and inverts nothing; any other set pays one batch inversion.
+///
 /// Returns `None` if no point is present, positions repeat, or the
 /// component counts disagree.
 #[must_use]
-pub fn recover_sum_at(points: &[(usize, ShareVector)]) -> Option<ShareVector> {
-    let components = points.first().map(|(_, a)| a.len())?;
-    if points.iter().any(|(_, a)| a.len() != components) {
+pub fn recover_sum_at<A: AsRef<[Fp]>>(points: &[(usize, A)]) -> Option<ShareVector> {
+    let components = points.first().map(|(_, a)| a.as_ref().len())?;
+    if points.iter().any(|(_, a)| a.as_ref().len() != components) {
         return None;
     }
-    let xs: Vec<Fp> = points.iter().map(|&(j, _)| seed_for(j)).collect();
-    // Repeated positions make the Lagrange denominators vanish.
-    for (i, &xi) in xs.iter().enumerate() {
-        if xs.iter().skip(i + 1).any(|&xk| xk == xi) {
-            return None;
+    let full_set = points.iter().enumerate().all(|(i, &(j, _))| i == j);
+    match FULL_SET_WEIGHTS.get(points.len()) {
+        Some(row) if full_set => Some(weighted_sum(points, row, components)),
+        _ => {
+            let weights = lagrange_weights(points.iter().map(|&(j, _)| j))?;
+            Some(weighted_sum(points, &weights, components))
         }
     }
-    // Lagrange basis at zero: L_j(0) = Π_{k≠j} x_k / (x_k − x_j).
-    // The denominators are inverted together (Montgomery's batch trick):
-    // one Fermat inversion for the whole basis instead of one per point.
+}
+
+/// `Σ_j w_j · F_j`, componentwise: the interpolated value at zero.
+fn weighted_sum<A: AsRef<[Fp]>>(
+    points: &[(usize, A)],
+    weights: &[Fp],
+    components: usize,
+) -> ShareVector {
+    let mut sum = vec![Fp::ZERO; components];
+    for ((_, assembly), &w) in points.iter().zip(weights) {
+        for (acc, &f) in sum.iter_mut().zip(assembly.as_ref()) {
+            *acc += f * w;
+        }
+    }
+    sum
+}
+
+/// The Lagrange weights at zero of every full set: row `k` holds the
+/// weights of positions `0..k` (seeds `1..=k`), which are the integers
+/// `L_j(0) = Π_{i≠j} x_i / (x_i − x_j) = (−1)^j · C(k, j + 1)`.
+const FULL_SET_WEIGHTS: [[Fp; MAX_CLUSTER_SIZE]; MAX_CLUSTER_SIZE + 1] = full_set_weight_table();
+
+const fn full_set_weight_table() -> [[Fp; MAX_CLUSTER_SIZE]; MAX_CLUSTER_SIZE + 1] {
+    // binom[k][j] = C(k, j + 1) by Pascal's rule in 𝔽ₚ,
+    // C(k, j + 1) = C(k − 1, j) + C(k − 1, j + 1) with C(k − 1, 0) = 1,
+    // so no entry overflows whatever the bound.
+    let mut binom = [[0u64; MAX_CLUSTER_SIZE]; MAX_CLUSTER_SIZE + 1];
+    let mut table = [[Fp::ZERO; MAX_CLUSTER_SIZE]; MAX_CLUSTER_SIZE + 1];
+    let mut k = 1;
+    while k <= MAX_CLUSTER_SIZE {
+        let mut j = 0;
+        while j < k {
+            let below = if j == 0 { 1 } else { binom[k - 1][j - 1] };
+            let sum = below + binom[k - 1][j];
+            let c = if sum >= MODULUS { sum - MODULUS } else { sum };
+            binom[k][j] = c;
+            table[k][j] = Fp::new(if j % 2 == 0 { c } else { MODULUS - c });
+            j += 1;
+        }
+        k += 1;
+    }
+    table
+}
+
+/// The Lagrange weights at zero over the seeds of `positions`, in order:
+/// `L_j(0) = Π_{k≠j} x_k / (x_k − x_j)`. The denominators are inverted
+/// together (Montgomery's batch trick): one Fermat inversion for the
+/// whole basis instead of one per point. `None` if a position repeats,
+/// which makes a denominator vanish.
+fn lagrange_weights(positions: impl Iterator<Item = usize>) -> Option<Vec<Fp>> {
+    let xs: Vec<Fp> = positions.map(seed_for).collect();
     let mut nums = Vec::with_capacity(xs.len());
     let mut dens = Vec::with_capacity(xs.len());
     for (j, &xj) in xs.iter().enumerate() {
@@ -188,14 +242,7 @@ pub fn recover_sum_at(points: &[(usize, ShareVector)]) -> Option<ShareVector> {
         dens.push(den);
     }
     Fp::batch_inverse(&mut dens)?;
-    let weights: Vec<Fp> = nums.iter().zip(&dens).map(|(&n, &d)| n * d).collect();
-    let mut sum = vec![Fp::ZERO; components];
-    for ((_, assembly), &w) in points.iter().zip(&weights) {
-        for (acc, &f) in sum.iter_mut().zip(assembly) {
-            *acc += f * w;
-        }
-    }
-    Some(sum)
+    Some(nums.iter().zip(&dens).map(|(&n, &d)| n * d).collect())
 }
 
 /// Serialises a share vector for sealing (8 bytes per component,
@@ -383,7 +430,7 @@ mod tests {
 
     #[test]
     fn recover_sum_at_rejects_malformed_inputs() {
-        assert_eq!(recover_sum_at(&[]), None);
+        assert_eq!(recover_sum_at::<ShareVector>(&[]), None);
         // Repeated positions.
         let p = vec![(1usize, vec![Fp::new(5)]), (1usize, vec![Fp::new(6)])];
         assert_eq!(recover_sum_at(&p), None);
@@ -393,6 +440,36 @@ mod tests {
             (1usize, vec![Fp::new(6), Fp::new(7)]),
         ];
         assert_eq!(recover_sum_at(&q), None);
+    }
+
+    /// Positions the solve proptest draws from: past the weight table.
+    const SPAN: usize = MAX_CLUSTER_SIZE + 8;
+
+    /// The general interpolation, whatever the positions: batch-inverse
+    /// weights, then the weighted sum.
+    fn interpolate_general(points: &[(usize, ShareVector)]) -> Option<ShareVector> {
+        let weights = lagrange_weights(points.iter().map(|&(j, _)| j))?;
+        Some(weighted_sum(points, &weights, points.first()?.1.len()))
+    }
+
+    #[test]
+    fn full_set_weights_equal_the_batch_inverse_weights() {
+        for k in 1..=MAX_CLUSTER_SIZE {
+            let general = lagrange_weights(0..k).expect("distinct positions");
+            assert_eq!(&FULL_SET_WEIGHTS[k][..k], general.as_slice(), "k = {k}");
+        }
+    }
+
+    #[test]
+    fn solves_past_the_weight_table_take_the_general_path() {
+        let contributions: Vec<Vec<u64>> = (0..MAX_CLUSTER_SIZE as u64 + 3)
+            .map(|i| vec![i, 2 * i])
+            .collect();
+        let n = contributions.len() as u64;
+        assert_eq!(
+            roundtrip(&contributions),
+            vec![n * (n - 1) / 2, n * (n - 1)]
+        );
     }
 
     #[test]
@@ -429,6 +506,30 @@ mod tests {
             let contributions: Vec<Vec<u64>> = values.iter().map(|&v| vec![v]).collect();
             let expect: u64 = values.iter().sum();
             prop_assert_eq!(roundtrip(&contributions), vec![expect]);
+        }
+
+        /// The full-set weights and the batch inversion interpolate the
+        /// same polynomial: over a full set `0..k` (with `k` past the
+        /// weight table too), the same set out of order, and a partial
+        /// set, `recover_sum_at` equals the general interpolation.
+        #[test]
+        fn recover_sum_at_matches_the_general_interpolation(
+            k in 1usize..SPAN - 4,
+            keep in prop::collection::vec(any::<bool>(), SPAN),
+            values in prop::collection::vec(any::<u64>(), 2 * SPAN),
+        ) {
+            let point = |j: usize| (j, vec![Fp::new(values[2 * j]), Fp::new(values[2 * j + 1])]);
+            let full: Vec<(usize, ShareVector)> = (0..k).map(point).collect();
+            let mut reversed = full.clone();
+            reversed.reverse();
+            let partial: Vec<(usize, ShareVector)> =
+                (0..k + 4).filter(|&j| keep[j]).map(point).collect();
+            for points in [&full, &reversed, &partial] {
+                prop_assert_eq!(recover_sum_at(points), interpolate_general(points));
+            }
+            // A full set needs no inversion, yet solves the same sum as
+            // its reversal (which does).
+            prop_assert_eq!(recover_sum_at(&full), recover_sum_at(&reversed));
         }
 
         /// Share vectors destined to different positions differ (the

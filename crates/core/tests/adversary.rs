@@ -157,7 +157,7 @@ fn pollution_and_slander_leave_adversary_notes_in_the_trace() {
     }
     let alarms = &sim.app(NodeId::new(0)).decision().expect("decided").alarms;
     assert!(alarms.contains(&(*slanderer, victim)), "{alarms:?}");
-    assert!(sim.obs().counter("icpda_slander_sent") >= 1);
+    assert!(sim.obs().count(Counter::SlanderSent) >= 1);
 }
 
 /// Rosters of size ≥ 3 formed in the honest run, as (victim, members).
@@ -334,11 +334,7 @@ fn garbage_shares_corrupt_the_aggregate_visibly() {
         plan.assign(*victim, Behavior::GarbageShares).unwrap();
     }
     let out = run_with_plan(41, config, plan);
-    let garbage_rounds = out
-        .user_counters
-        .iter()
-        .find(|(name, _)| *name == "icpda_adv_garbage_shares")
-        .map_or(0, |&(_, v)| v);
+    let garbage_rounds = out.obs.count(Counter::AdvGarbageShares);
     assert!(garbage_rounds >= 1, "the hook fired");
     assert_ne!(
         out.value.to_bits(),
@@ -354,11 +350,7 @@ fn selective_forwarding_black_holes_subtrees() {
     let plan = AdversaryPlan::random_compromise(N, 0.4, Behavior::SelectiveForward, 51).unwrap();
     assert!(plan.compromised_count() > 10);
     let out = run_with_plan(51, config, plan);
-    let dropped = out
-        .user_counters
-        .iter()
-        .find(|(name, _)| *name == "icpda_adv_dropped_upstream")
-        .map_or(0, |&(_, v)| v);
+    let dropped = out.obs.count(Counter::AdvDroppedUpstream);
     assert!(dropped >= 1, "forwarders received and dropped reports");
     assert!(
         out.participants < honest.participants,

@@ -51,11 +51,28 @@ fn full_level_covers_all_six_phases_and_engine_internals() {
         names.contains("engine.outage"),
         "no outage spans: {names:?}"
     );
-    assert!(out.obs.counter("engine.delivery_batches") > 0);
-    assert!(out.obs.counter("engine.fault_edges") > 0);
-    assert!(out.obs.counter("engine.timers_fired") > 0);
+    assert!(out.obs.count(Counter::EngineDeliveryBatches) > 0);
+    assert!(out.obs.count(Counter::EngineFaultEdges) > 0);
+    assert!(out.obs.count(Counter::EngineTimersFired) > 0);
     // Protocol counters count into the same registry.
-    assert!(out.obs.counter("icpda_heads") > 0);
+    assert!(out.obs.count(Counter::Heads) > 0);
+    // The runner adds every loss total, zeros included: no channel plan
+    // corrupts a frame, and `sim_lost_corrupt` is still exported.
+    for counter in [
+        Counter::SimLostCollision,
+        Counter::SimLostCorrupt,
+        Counter::SimLostHalfDuplex,
+        Counter::SimLostMacDrop,
+        Counter::SimLostReceiverDown,
+        Counter::SimLostStochastic,
+    ] {
+        let exported = out
+            .user_counters
+            .iter()
+            .any(|&(name, value)| name == counter.name() && value == out.obs.count(counter));
+        assert!(exported, "{} not exported", counter.name());
+    }
+    assert_eq!(out.obs.count(Counter::SimLostCorrupt), 0);
     // Every span is well-formed: monotone interval, saturating deltas.
     for s in out.obs.spans() {
         assert!(s.end_ns >= s.start_ns, "span {s:?} runs backwards");
@@ -69,7 +86,7 @@ fn default_level_records_only_protocol_counters() {
     assert!(out.obs.spans().is_empty());
     assert_eq!(out.obs.gauges().count(), 0);
     assert_eq!(out.obs.histograms().count(), 0);
-    assert!(out.obs.counter("icpda_heads") > 0);
+    assert!(out.obs.count(Counter::Heads) > 0);
     for (name, _) in out.obs.counters() {
         assert!(name.starts_with("icpda_"), "non-protocol counter {name}");
     }

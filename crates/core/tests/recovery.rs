@@ -3,7 +3,7 @@
 //! relay, and member crashes with `crash_recovery` enabled.
 
 use agg::AggFunction;
-use icpda::{IcpdaConfig, IcpdaOutcome, IcpdaRun};
+use icpda::{IcpdaConfig, IcpdaRun};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use wsn_sim::geometry::Region;
@@ -18,13 +18,6 @@ fn dense_pocket(n: usize) -> Deployment {
 
 fn sum_readings(n: usize) -> Vec<u64> {
     (0..n as u64).map(|i| i * 10).collect()
-}
-
-fn counter(out: &IcpdaOutcome, name: &str) -> u64 {
-    out.user_counters
-        .iter()
-        .find(|(k, _)| *k == name)
-        .map_or(0, |&(_, v)| v)
 }
 
 #[test]
@@ -145,10 +138,15 @@ fn dead_head_cluster_is_recovered_by_survivors() {
         out.participants as usize <= out.eligible,
         "dedup must keep participants within the living population"
     );
-    let recoveries = counter(&out, "icpda_takeover_report")
-        + counter(&out, "icpda_direct_report")
-        + counter(&out, "icpda_head_dead_detected")
-        + counter(&out, "icpda_solved_degraded");
+    let recoveries = [
+        Counter::TakeoverReport,
+        Counter::DirectReport,
+        Counter::HeadDeadDetected,
+        Counter::SolvedDegraded,
+    ]
+    .into_iter()
+    .map(|c| out.obs.count(c))
+    .sum::<u64>();
     assert!(
         recoveries > 0,
         "killing head {head:?} mid-round must exercise a recovery path"

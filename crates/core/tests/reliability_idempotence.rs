@@ -65,11 +65,7 @@ proptest! {
         prop_assert_eq!(&clean.alarms, &doubled.alarms);
         prop_assert_eq!(&clean.cluster_sizes, &doubled.cluster_sizes);
         // The duplicates were actually seen and suppressed, not absent.
-        let suppressed = doubled
-            .user_counters
-            .iter()
-            .find(|(name, _)| *name == "icpda_rel_duplicate")
-            .map_or(0, |&(_, count)| count);
+        let suppressed = doubled.obs.count(Counter::RelDuplicate);
         prop_assert!(suppressed > 0, "duplication 1.0 suppressed no duplicates");
     }
 

@@ -209,7 +209,7 @@ mod tests {
                 energy_nj: 80_000,
             },
         );
-        obs.add("engine.mac_drops", 2);
+        obs.add(crate::Counter::EngineMacDrops, 2);
         obs.gauge_set("sim.min_alive", 199);
         obs.observe("engine.batch_receivers", &[1, 4, 16], 9);
         obs

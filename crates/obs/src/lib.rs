@@ -18,23 +18,29 @@
 //! Counters count at every level: the protocol's per-message accounting
 //! (shares sent, FSums resent, alarms raised, ...) lives here and only
 //! here, so an [`ObsLevel::Off`] registry holds exactly those counters.
+//! The counters form one closed table, [`Counter`]: the registry keeps
+//! one slot per counter, so a bump is an array index, not a name search.
 //! Spans, gauges and histograms are guarded like `wsn_sim::TraceLevel`:
 //! every recording site checks [`Obs::enabled`] *before* computing a
 //! snapshot or constructing any argument, so at `Off` (the default) such
 //! an instrumentation point costs one branch and zero allocations. The
-//! registry itself allocates nothing at construction — empty `BTreeMap`s
-//! and `Vec`s have no heap footprint.
+//! registry itself allocates nothing at construction — the counter
+//! slots are inline, and empty `BTreeMap`s and `Vec`s have no heap
+//! footprint.
 //!
 //! ## Determinism
 //!
-//! Everything is keyed by `&'static str` names in `BTreeMap`s (stable
-//! iteration order) and spans are stored in completion order of the
-//! single-threaded simulator, so exported `spans.jsonl`/`metrics.jsonl`
-//! are byte-identical for a given seed at any harness thread count. Only
-//! `manifest.json` records environment facts (threads, git revision).
+//! Counters export in slot order, which is the byte order of their
+//! names; gauges and histograms are keyed by `&'static str` names in
+//! `BTreeMap`s (stable iteration order); spans are stored in completion
+//! order of the single-threaded simulator. So exported
+//! `spans.jsonl`/`metrics.jsonl` are byte-identical for a given seed at
+//! any harness thread count. Only `manifest.json` records environment
+//! facts (threads, git revision).
 
 #![forbid(unsafe_code)]
 
+mod counter;
 pub mod export;
 pub mod json;
 pub mod profile;
@@ -43,6 +49,8 @@ pub mod report;
 pub mod stream;
 
 use std::collections::BTreeMap;
+
+pub use counter::Counter;
 
 /// How much the observability layer records. Mirrors
 /// `wsn_sim::TraceLevel`: recording sites guard with [`Obs::enabled`],
@@ -205,10 +213,13 @@ pub fn quantile_from_buckets(bounds: &[u64], counts: &[u64], total: u64, q: f64)
 }
 
 /// The span/metrics registry. See the crate docs for the cost model.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct Obs {
     level: ObsLevel,
-    counters: BTreeMap<&'static str, u64>,
+    /// One slot per [`Counter`]; `None` until the counter is first
+    /// touched, so export lists exactly the touched counters (a bump by
+    /// zero included).
+    counters: [Option<u64>; Counter::COUNT],
     gauges: BTreeMap<&'static str, i64>,
     hists: BTreeMap<&'static str, Histogram>,
     spans: Vec<Span>,
@@ -218,6 +229,12 @@ pub struct Obs {
     drained: u64,
 }
 
+impl Default for Obs {
+    fn default() -> Self {
+        Obs::new(ObsLevel::Off)
+    }
+}
+
 impl Obs {
     /// Creates a registry at `level`. Allocates nothing until the first
     /// record.
@@ -225,7 +242,12 @@ impl Obs {
     pub fn new(level: ObsLevel) -> Self {
         Obs {
             level,
-            ..Obs::default()
+            counters: [None; Counter::COUNT],
+            gauges: BTreeMap::new(),
+            hists: BTreeMap::new(),
+            spans: Vec::new(),
+            open: BTreeMap::new(),
+            drained: 0,
         }
     }
 
@@ -249,14 +271,15 @@ impl Obs {
         self.level > ObsLevel::Off
     }
 
-    /// Increments counter `name` by one (at every level).
-    pub fn inc(&mut self, name: &'static str) {
-        self.add(name, 1);
+    /// Increments `counter` by one (at every level).
+    pub fn inc(&mut self, counter: Counter) {
+        self.add(counter, 1);
     }
 
-    /// Adds `delta` to counter `name` (at every level).
-    pub fn add(&mut self, name: &'static str, delta: u64) {
-        *self.counters.entry(name).or_insert(0) += delta;
+    /// Adds `delta` to `counter` (at every level). A `delta` of zero
+    /// still marks the counter touched, so it is exported.
+    pub fn add(&mut self, counter: Counter, delta: u64) {
+        *self.counters[counter as usize].get_or_insert(0) += delta;
     }
 
     /// Sets gauge `name` to `value` (last write wins).
@@ -339,15 +362,25 @@ impl Obs {
         }
     }
 
-    /// Counter `name`, zero if never incremented.
+    /// The value of `counter`, zero if never touched.
     #[must_use]
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
+    pub fn count(&self, counter: Counter) -> u64 {
+        self.counters[counter as usize].unwrap_or(0)
     }
 
-    /// All counters in name order.
+    /// The counter exported as `name`, zero if never touched or not in
+    /// the [`Counter`] table.
+    #[must_use]
+    pub fn counter(&self, name: &str) -> u64 {
+        Counter::from_name(name).map_or(0, |c| self.count(c))
+    }
+
+    /// Every touched counter, with its exported name, in name order.
     pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.counters.iter().map(|(k, v)| (*k, *v))
+        Counter::ALL
+            .iter()
+            .zip(&self.counters)
+            .filter_map(|(c, v)| v.map(|v| (c.name(), v)))
     }
 
     /// All gauges in name order.
@@ -409,13 +442,16 @@ mod tests {
         let mut obs = Obs::off();
         assert_eq!(ObsLevel::default(), ObsLevel::Off);
         assert!(!obs.enabled());
-        obs.inc("c");
+        obs.inc(Counter::ShareSent);
         obs.gauge_set("g", 3);
         obs.observe("h", &[1, 2], 1);
         obs.span_start("s", 1, 10, snap(0, 0, 0));
         obs.span_end("s", 1, 20, snap(1, 1, 1));
         obs.finish(30);
-        assert_eq!(obs.counters().collect::<Vec<_>>(), vec![("c", 1)]);
+        assert_eq!(
+            obs.counters().collect::<Vec<_>>(),
+            vec![("icpda_share_sent", 1)]
+        );
         assert_eq!(obs.gauges().count(), 0);
         assert_eq!(obs.histograms().count(), 0);
         assert!(obs.spans().is_empty());
@@ -426,20 +462,40 @@ mod tests {
     #[test]
     fn counters_gauges_histograms_accumulate() {
         let mut obs = Obs::new(ObsLevel::Full);
-        obs.inc("a");
-        obs.add("a", 4);
+        obs.inc(Counter::AuditClean);
+        obs.add(Counter::AuditClean, 4);
         obs.gauge_set("g", -2);
         obs.gauge_set("g", 7);
         obs.observe("h", &[1, 4, 16], 0);
         obs.observe("h", &[1, 4, 16], 4);
         obs.observe("h", &[1, 4, 16], 100);
-        assert_eq!(obs.counter("a"), 5);
+        assert_eq!(obs.count(Counter::AuditClean), 5);
+        assert_eq!(obs.counter("icpda_audit_clean"), 5);
+        assert_eq!(obs.count(Counter::AuditPartial), 0);
         assert_eq!(obs.counter("missing"), 0);
         assert_eq!(obs.gauges().collect::<Vec<_>>(), vec![("g", 7)]);
         let (_, h) = obs.histograms().next().expect("histogram");
         assert_eq!(h.counts(), &[1, 1, 0, 1]);
         assert_eq!(h.total(), 3);
         assert_eq!(h.sum(), 104);
+    }
+
+    #[test]
+    fn counters_export_every_touched_slot_in_name_order() {
+        let mut obs = Obs::off();
+        // Touched out of name order, one of them by zero.
+        obs.add(Counter::SimLostCorrupt, 0);
+        obs.inc(Counter::ShareSent);
+        obs.add(Counter::EngineMacDrops, 3);
+        assert_eq!(
+            obs.counters().collect::<Vec<_>>(),
+            vec![
+                ("engine.mac_drops", 3),
+                ("icpda_share_sent", 1),
+                ("sim_lost_corrupt", 0),
+            ]
+        );
+        assert_eq!(obs.count(Counter::SimLostCorrupt), 0);
     }
 
     #[test]

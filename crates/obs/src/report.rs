@@ -140,13 +140,14 @@ fn parse_metric(doc: &Json) -> Result<MetricRow, String> {
     let arr_u64 = |key: &str| -> Result<Vec<u64>, String> {
         doc.get(key)
             .and_then(Json::as_arr)
-            .map(|a| {
-                a.iter()
-                    .filter_map(Json::as_f64)
+            .ok_or_else(|| format!("missing array field `{key}`"))?
+            .iter()
+            .map(|v| {
+                v.as_f64()
                     .map(|v| v as u64)
-                    .collect()
+                    .ok_or_else(|| format!("non-numeric entry in `{key}`"))
             })
-            .ok_or_else(|| format!("missing array field `{key}`"))
+            .collect()
     };
     match field_str(doc, "kind")?.as_str() {
         "counter" => Ok(MetricRow::Counter {
@@ -160,13 +161,29 @@ fn parse_metric(doc: &Json) -> Result<MetricRow, String> {
                 .and_then(Json::as_f64)
                 .ok_or("missing numeric field `value`")? as i64,
         }),
-        "histogram" => Ok(MetricRow::Histogram {
-            name: field_str(doc, "name")?,
-            bounds: arr_u64("bounds")?,
-            counts: arr_u64("counts")?,
-            total: field_u64(doc, "total")?,
-            sum: field_u64(doc, "sum")?,
-        }),
+        "histogram" => {
+            let name = field_str(doc, "name")?;
+            let in_row = |e: String| format!("histogram `{name}`: {e}");
+            let bounds = arr_u64("bounds").map_err(in_row)?;
+            let counts = arr_u64("counts").map_err(in_row)?;
+            // The overflow bucket makes `counts` one longer than `bounds`;
+            // the quantile estimate indexes `bounds` by bucket.
+            if counts.len() != bounds.len() + 1 {
+                return Err(in_row(format!(
+                    "{} counts for {} bounds (want {})",
+                    counts.len(),
+                    bounds.len(),
+                    bounds.len() + 1
+                )));
+            }
+            Ok(MetricRow::Histogram {
+                name,
+                bounds,
+                counts,
+                total: field_u64(doc, "total")?,
+                sum: field_u64(doc, "sum")?,
+            })
+        }
         other => Err(format!("unknown metric kind `{other}`")),
     }
 }
@@ -674,7 +691,7 @@ mod tests {
                 energy_nj: 100,
             },
         );
-        obs.inc("c");
+        obs.inc(crate::Counter::ShareSent);
         obs.gauge_set("g", -4);
         obs.observe("h", &[2, 8], 3);
         let manifest = Manifest {
@@ -693,5 +710,33 @@ mod tests {
         assert_eq!(run.spans.len(), 1);
         assert_eq!(run.spans[0].name, "phase.query_flood");
         assert_eq!(run.metrics.len(), 3);
+    }
+
+    #[test]
+    fn malformed_histogram_rows_are_rejected_by_name() {
+        let row = |counts: &str| {
+            format!(
+                "{{\"kind\":\"histogram\",\"name\":\"engine.batch_receivers\",\
+                 \"bounds\":[1,2,4,8,16,32,64,128],\"counts\":[{counts}],\
+                 \"total\":3,\"sum\":9}}"
+            )
+        };
+        let load = |counts: &str| parse_lines(&row(counts), "metrics.jsonl", parse_metric);
+        let well_formed = load("0,1,0,0,1,0,0,0,1").expect("nine counts for eight bounds");
+        let report = render_report(&ObsRun {
+            metrics: well_formed,
+            ..run_with(1)
+        });
+        assert!(report.contains("engine.batch_receivers"), "{report}");
+        // Padded to 11 counts, the quantile estimate would index
+        // `bounds[i - 1]` past the end.
+        let err = load("0,1,0,0,1,0,0,0,0,0,1").expect_err("11 counts for 8 bounds");
+        assert!(err.contains("line 1"), "{err}");
+        assert!(err.contains("engine.batch_receivers"), "{err}");
+        assert!(err.contains("11 counts for 8 bounds"), "{err}");
+        assert!(load("0,1,0,0,1,0,0,1").is_err(), "one count short");
+        // A non-numeric entry is an error, not silently dropped.
+        let err = load("0,1,0,0,1,0,0,\"x\",1,0").expect_err("non-numeric count");
+        assert!(err.contains("non-numeric entry in `counts`"), "{err}");
     }
 }

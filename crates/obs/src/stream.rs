@@ -269,7 +269,7 @@ mod tests {
                 },
             );
         }
-        obs.inc("c");
+        obs.inc(crate::Counter::ShareSent);
         obs.observe("h", &[4, 16], 7);
         obs
     }
@@ -327,7 +327,7 @@ mod tests {
             stream.flush_spans(&mut obs);
             assert!(obs.spans().is_empty(), "drain leaves nothing behind");
         }
-        obs.inc("c");
+        obs.inc(crate::Counter::ShareSent);
         obs.observe("h", &[4, 16], 7);
         let manifest = Manifest {
             tool: "test".into(),

@@ -151,8 +151,8 @@ impl<'a, M: WireSize> Context<'a, M> {
     }
 
     /// The run's observability registry (see [`icpda_obs::Obs`]):
-    /// protocol-level named counters count at every level (e.g.
-    /// `obs().inc("share_sent")`); spans, gauges and histograms record
+    /// protocol counters count at every level (e.g.
+    /// `obs().inc(Counter::ShareSent)`); spans, gauges and histograms record
     /// only when `SimConfig::obs_level` is raised. Guard those with
     /// [`Obs::enabled`] before computing arguments.
     pub fn obs(&mut self) -> &mut Obs {

@@ -64,7 +64,7 @@ pub use trace::{FlightRecorder, Trace, TraceEntry, TraceKind, TraceLevel};
 
 // Observability types used in the `Context`/`SimConfig` API surface, so
 // protocols need no direct `icpda-obs` dependency for instrumentation.
-pub use icpda_obs::{Obs, ObsLevel, Span, SpanSnapshot};
+pub use icpda_obs::{Counter, Obs, ObsLevel, Span, SpanSnapshot};
 
 /// Convenient glob-import of the common simulator types.
 pub mod prelude {
@@ -80,5 +80,5 @@ pub mod prelude {
     pub use crate::sim::{SimConfig, Simulator};
     pub use crate::time::{SimDuration, SimTime};
     pub use crate::topology::Deployment;
-    pub use icpda_obs::{Obs, ObsLevel, Span, SpanSnapshot};
+    pub use icpda_obs::{Counter, Obs, ObsLevel, Span, SpanSnapshot};
 }

@@ -34,7 +34,7 @@ use crate::radio::{airtime, on_air_bytes, LossModel};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::Deployment;
 use crate::trace::{Trace, TraceKind, TraceLevel};
-use icpda_obs::{Obs, ObsLevel, SpanSnapshot};
+use icpda_obs::{Counter, Obs, ObsLevel, SpanSnapshot};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::collections::VecDeque;
@@ -656,7 +656,7 @@ impl<A: Application> Simulator<A> {
         }
         self.radios[i].down = now_down;
         if self.obs.enabled() {
-            self.obs.inc("engine.fault_edges");
+            self.obs.inc(Counter::EngineFaultEdges);
             let snap = obs_snap(&self.metrics, node);
             let t = self.now.as_nanos();
             if now_down {
@@ -714,14 +714,14 @@ impl<A: Application> Simulator<A> {
                 } => self.enqueue_frame(node, dest, payload, size_bytes),
                 Command::SetTimer { at, token, id } => {
                     if self.obs.enabled() {
-                        self.obs.inc("engine.timers_set");
+                        self.obs.inc(Counter::EngineTimersSet);
                     }
                     self.live_timers.insert(id);
                     self.schedule(at.max(self.now), EventKind::Timer { node, token, id });
                 }
                 Command::CancelTimer { id } => {
                     if self.obs.enabled() {
-                        self.obs.inc("engine.timers_cancelled");
+                        self.obs.inc(Counter::EngineTimersCancelled);
                     }
                     self.live_timers.remove(id);
                 }
@@ -789,7 +789,7 @@ impl<A: Application> Simulator<A> {
                     self.trace.record(now, TraceKind::MacDrop { node });
                 }
                 if self.obs.enabled() {
-                    self.obs.inc("engine.mac_drops");
+                    self.obs.inc(Counter::EngineMacDrops);
                 }
                 if self.mac[node.index()].queue.is_empty() {
                     self.mac[node.index()].active = false;
@@ -799,7 +799,7 @@ impl<A: Application> Simulator<A> {
                 return;
             }
             if self.obs.enabled() {
-                self.obs.inc("engine.mac_defers");
+                self.obs.inc(Counter::EngineMacDefers);
             }
             let window = mac_cfg.backoff_window(st.attempts);
             let slots = rng_at(&mut self.rngs, self.seed, node.index()).gen_range(0..window);
@@ -893,9 +893,9 @@ impl<A: Application> Simulator<A> {
         let on_air = on_air_bytes(frame.size_bytes) as u64;
         let rx_energy = on_air as f64 * RX_NJ_PER_BYTE;
         if self.obs.enabled() {
-            self.obs.inc("engine.delivery_batches");
+            self.obs.inc(Counter::EngineDeliveryBatches);
             self.obs
-                .add("engine.delivery_receivers", receivers.len() as u64);
+                .add(Counter::EngineDeliveryReceivers, receivers.len() as u64);
             self.obs.observe(
                 "engine.batch_receivers",
                 BATCH_RECEIVER_BUCKETS,
@@ -978,7 +978,7 @@ impl<A: Application> Simulator<A> {
                     size_bytes: frame.size_bytes,
                 };
                 if self.obs.enabled() {
-                    self.obs.inc("engine.channel_reordered");
+                    self.obs.inc(Counter::EngineChannelReordered);
                 }
                 self.schedule(
                     self.now + delay,
@@ -989,7 +989,7 @@ impl<A: Application> Simulator<A> {
             let duplicate = self.channel_plan.duplication();
             if duplicate > 0.0 && self.channel_rng.gen::<f64>() < duplicate {
                 if self.obs.enabled() {
-                    self.obs.inc("engine.channel_duplicated");
+                    self.obs.inc(Counter::EngineChannelDuplicated);
                 }
                 self.dispatch_frame(node, frame, on_air, rx_energy);
             }
@@ -1070,11 +1070,11 @@ impl<A: Application> Simulator<A> {
                             .record(self.now, TraceKind::TimerFired { node, token });
                     }
                     if self.obs.enabled() {
-                        self.obs.inc("engine.timers_fired");
+                        self.obs.inc(Counter::EngineTimersFired);
                     }
                     self.with_ctx(node, |app, ctx| app.on_timer(ctx, token));
                 } else if self.obs.enabled() {
-                    self.obs.inc("engine.timers_stale");
+                    self.obs.inc(Counter::EngineTimersStale);
                 }
             }
             EventKind::MacAttempt { node } => self.handle_mac_attempt(node),

@@ -274,10 +274,10 @@ fn many_timers_with_interleaved_cancels_fire_exactly_the_live_ones() {
     // Every scheduled timer pops once, fired or not.
     assert_eq!(sim.events_processed(), count);
     let obs = sim.obs();
-    assert_eq!(obs.counter("engine.timers_set"), count);
-    assert_eq!(obs.counter("engine.timers_fired"), expected.len() as u64);
+    assert_eq!(obs.count(Counter::EngineTimersSet), count);
+    assert_eq!(obs.count(Counter::EngineTimersFired), expected.len() as u64);
     assert_eq!(
-        obs.counter("engine.timers_stale"),
+        obs.count(Counter::EngineTimersStale),
         count - expected.len() as u64
     );
 }

@@ -96,14 +96,15 @@ const UNSAFE_ROOTS: [&str; 11] = [
     "src/lib.rs",
 ];
 
-/// The engine's event-dispatch / frame-delivery hot path and the
-/// per-record trace rendering path: one entry per file, listing the
-/// function bodies XL006 scans. These run once per simulated event (or
-/// per receiver), so a single `.clone()` there multiplies into millions
-/// of allocations per experiment sweep. A name that matches no `fn` in
-/// its file is reported as XL000, so a renamed hot function cannot
-/// silently drop out of the scan.
-const HOT_PATHS: [(&str, &[&str]); 8] = [
+/// The engine's event-dispatch / frame-delivery hot path, the
+/// per-record trace rendering path, the counter bump and the protocol's
+/// audit of overheard reports: one entry per file, listing the function
+/// bodies XL006 scans. These run once per simulated event (or per
+/// receiver), so a single `.clone()` there multiplies into millions of
+/// allocations per experiment sweep. A name that matches no `fn` in its
+/// file is reported as XL000, so a renamed hot function cannot silently
+/// drop out of the scan.
+const HOT_PATHS: [(&str, &[&str]); 11] = [
     (
         "crates/sim/src/sim.rs",
         &[
@@ -150,6 +151,14 @@ const HOT_PATHS: [(&str, &[&str]); 8] = [
     ),
     ("crates/obs/src/stream.rs", &["with_line"]),
     ("crates/obs/src/json.rs", &["push_u64"]),
+    // Every counter bump, at every level.
+    ("crates/obs/src/lib.rs", &["inc", "add"]),
+    // Every overheard upstream report is audited (`MonitorCache::check`).
+    ("crates/core/src/monitor.rs", &["check"]),
+    (
+        "crates/core/src/node.rs",
+        &["audit_upstream", "on_overhear"],
+    ),
 ];
 
 /// Where message enums are defined (exhaustiveness rule input).
