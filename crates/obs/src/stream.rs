@@ -6,9 +6,13 @@
 //! **fixed-size reusable buffer** instead:
 //!
 //! * [`JsonlSink`] — a line-oriented writer that renders records into one
-//!   reused `String` and flushes it to the underlying file whenever it
-//!   crosses its capacity. Memory is bounded by the buffer capacity plus
-//!   one record, independent of run length.
+//!   reused `String` and writes it out to the underlying file once a line
+//!   makes it reach its capacity. Memory is bounded by the buffer
+//!   capacity plus one record, independent of run length. The
+//!   `trace.jsonl` sink is owned by the engine's writer thread
+//!   (`wsn_sim::trace`), which adds at most `QUEUED_BATCHES + 2` batches
+//!   of `BATCH_ENTRIES` trace entries (160 KiB) in flight between the
+//!   engine and the sink.
 //! * [`ObsStream`] — an obs directory opened for streaming: spans drain
 //!   into `spans.jsonl` at every round boundary (see
 //!   `IcpdaRun::with_obs_stream` in `icpda`), `trace.jsonl` sinks are
@@ -23,10 +27,11 @@
 //! compare a stream against; for a given seed the streamed files are
 //! byte-identical at any harness thread count.
 //!
-//! **Error model:** the engine calls the sink from its event loop, where
-//! a per-record `io::Result` has nowhere to go — the first I/O error is
-//! latched, further writes become no-ops, and [`JsonlSink::take_error`]
-//! surfaces it at flush/finish time.
+//! **Error model:** the sink is called once per record — from the run
+//! loop for spans, from the trace writer thread for trace entries —
+//! where a per-record `io::Result` has nowhere to go: the first I/O
+//! error is latched, further writes become no-ops, and
+//! [`JsonlSink::take_error`] surfaces it at flush/finish time.
 
 use crate::export::{metrics_jsonl, write_span_line, Manifest};
 use crate::Obs;
@@ -91,9 +96,9 @@ impl JsonlSink {
     }
 
     /// Renders one record into the reused buffer via `render` (which
-    /// must append exactly one `\n`-terminated line) and flushes the
-    /// buffer to the file if it crossed the capacity. After an error is
-    /// latched this is a no-op.
+    /// must append exactly one `\n`-terminated line) and writes the
+    /// buffer out to the file once it has reached the capacity. After an
+    /// error is latched this is a no-op.
     pub fn with_line(&mut self, render: impl FnOnce(&mut String)) {
         if self.error.is_some() {
             return;

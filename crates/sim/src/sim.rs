@@ -490,8 +490,9 @@ impl<A: Application> Simulator<A> {
     /// the delivery-buffer pool is trimmed to the finished epoch's peak
     /// demand, so a one-off burst does not pin its buffers for the rest
     /// of a long multi-round session. Also the trace's round boundary:
-    /// the flight recorder rotates its window and the streaming sink
-    /// (if any) flushes, so `trace.jsonl` is durable up to the last
+    /// the flight recorder rotates its window and, with a stream
+    /// attached, the call waits until the writer thread has flushed every
+    /// entry recorded so far, so `trace.jsonl` is durable up to the last
     /// completed round. Purely an allocator/observability hint — calling
     /// it (or not) never changes simulation behavior.
     pub fn begin_frame_epoch(&mut self) {
@@ -536,10 +537,10 @@ impl<A: Application> Simulator<A> {
         &self.trace
     }
 
-    /// Attaches a streaming `trace.jsonl` sink: entries flow to the file
-    /// through the sink's fixed-size reusable buffer instead of the
-    /// in-memory ring (see [`Trace::set_stream`]). Observability-only —
-    /// the executed event sequence is unaffected.
+    /// Attaches a streaming `trace.jsonl` sink: entries flow to the file,
+    /// rendered by a writer thread, instead of the in-memory ring (see
+    /// [`Trace::set_stream`]). Observability-only — the executed event
+    /// sequence is unaffected.
     ///
     /// # Panics
     ///
@@ -553,8 +554,9 @@ impl<A: Application> Simulator<A> {
         self.trace.set_stream(sink);
     }
 
-    /// Detaches and finishes the streaming trace sink, returning
-    /// `(records, bytes, latched_error)`; `None` if none was attached.
+    /// Detaches and finishes the streaming trace sink, joining its writer
+    /// thread, and returns `(records, bytes, latched_error)`; `None` if
+    /// none was attached (see [`Trace::finish_stream`]).
     pub fn finish_trace_stream(&mut self) -> Option<(u64, u64, Option<std::io::Error>)> {
         self.trace.finish_stream()
     }

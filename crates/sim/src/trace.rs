@@ -14,10 +14,22 @@
 //!
 //! Beyond the in-memory ring, two other consumers can be attached:
 //!
-//! * a **streaming sink** ([`Trace::set_stream`]) that writes each entry
-//!   to `trace.jsonl` through a fixed-size reusable buffer, replacing the
-//!   ring so full traces at N=50k stop being memory-bound — same
-//!   renderer as [`Trace::to_jsonl`], so output is byte-identical;
+//! * a **streaming sink** ([`Trace::set_stream`]) that writes every entry
+//!   to `trace.jsonl`, replacing the ring so full traces at N=50k stop
+//!   being memory-bound. The engine only copies each entry into a batch
+//!   of [`BATCH_ENTRIES`]; one writer thread renders full batches, in
+//!   order, with the same renderer as [`Trace::to_jsonl`] into the
+//!   [`JsonlSink`], so output is byte-identical. Memory is bounded: at
+//!   most [`QUEUED_BATCHES`] full batches wait for the writer, and
+//!   emptied batches come back to the engine for reuse, so no more than
+//!   `QUEUED_BATCHES + 2` batches (160 KiB) ever exist next to the
+//!   sink's own buffer. [`Trace::mark_round`] is a barrier: it waits
+//!   until the writer has flushed everything recorded so far, so
+//!   `trace.jsonl` is durable up to the last completed round.
+//!   [`Trace::finish_stream`] and `Drop` (panicking or not) hand over the
+//!   last partial batch and join the thread, so no writer outlives its
+//!   `Trace`, and `finish_stream` reports an error if the writer wrote
+//!   a different number of entries than the engine handed it;
 //! * a **flight recorder** ([`Trace::set_flight`]) shadowing the last K
 //!   rounds, dumped on degraded rounds, adversary detection, or panic.
 //!
@@ -30,6 +42,9 @@ use crate::time::SimTime;
 use icpda_obs::json::push_u64;
 use icpda_obs::stream::JsonlSink;
 use std::collections::VecDeque;
+use std::io;
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::thread::JoinHandle;
 
 /// What happened.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -304,6 +319,175 @@ impl FlightRecorder {
     }
 }
 
+/// Entries per batch the engine hands the `trace.jsonl` writer thread
+/// (40 KiB of 40-byte entries).
+pub const BATCH_ENTRIES: usize = 1024;
+
+/// Full batches that may wait for the writer thread; the engine blocks
+/// when it hands over a batch while this many are queued.
+pub const QUEUED_BATCHES: usize = 2;
+
+/// What the engine sends the writer thread, in recording order.
+#[derive(Debug)]
+enum ToWriter {
+    /// Render these entries, then hand the emptied batch back.
+    Batch(Vec<TraceEntry>),
+    /// Flush the sink to the file, then acknowledge.
+    Flush,
+}
+
+/// The engine's end of a running writer thread.
+#[derive(Debug)]
+struct Writer {
+    batches: SyncSender<ToWriter>,
+    emptied: Receiver<Vec<TraceEntry>>,
+    flushed: Receiver<()>,
+    thread: JoinHandle<JsonlSink>,
+}
+
+/// A streaming `trace.jsonl` sink: entries gather in a batch, and full
+/// batches go to one writer thread that renders them into the
+/// [`JsonlSink`] (see the module docs for the memory bound).
+#[derive(Debug)]
+struct TraceStream {
+    /// Entries recorded since the last handoff.
+    batch: Vec<TraceEntry>,
+    /// Entries handed to the writer so far.
+    handed: u64,
+    /// The running writer, or the error that kept it from starting.
+    writer: Result<Writer, io::Error>,
+}
+
+impl TraceStream {
+    /// Starts the writer thread that owns `sink`. A failed spawn is
+    /// latched as the stream's error, which [`TraceStream::finish`]
+    /// reports.
+    fn spawn(sink: JsonlSink) -> Self {
+        let (batches, queue) = sync_channel(QUEUED_BATCHES);
+        // Room for every batch that can exist, so handing one back never
+        // blocks the writer.
+        let (give_back, emptied) = sync_channel(QUEUED_BATCHES + 2);
+        let (ack, flushed) = sync_channel(1);
+        let writer = std::thread::Builder::new()
+            .name("trace-writer".to_string())
+            .spawn(move || write_batches(sink, &queue, &give_back, &ack))
+            .map(|thread| Writer {
+                batches,
+                emptied,
+                flushed,
+                thread,
+            });
+        TraceStream {
+            batch: Vec::with_capacity(BATCH_ENTRIES),
+            handed: 0,
+            writer,
+        }
+    }
+
+    fn push(&mut self, e: TraceEntry) {
+        self.batch.push(e);
+        if self.batch.len() == BATCH_ENTRIES {
+            self.handoff();
+        }
+    }
+
+    /// Hands the current batch to the writer and takes an emptied one
+    /// back, allocating only while every batch is still in flight (so at
+    /// most `QUEUED_BATCHES + 2` are ever allocated). Without a writer
+    /// the entries are dropped; [`TraceStream::finish`] reports why.
+    fn handoff(&mut self) {
+        if self.batch.is_empty() {
+            return;
+        }
+        self.handed += self.batch.len() as u64;
+        let Ok(w) = &self.writer else {
+            self.batch.clear();
+            return;
+        };
+        let full = std::mem::take(&mut self.batch);
+        // A send fails only if the writer died; the entries are then
+        // lost, and the count check in `finish` reports that.
+        let _ = w.batches.send(ToWriter::Batch(full));
+        self.batch = w
+            .emptied
+            .try_recv()
+            .unwrap_or_else(|_| Vec::with_capacity(BATCH_ENTRIES));
+    }
+
+    /// Waits until the file holds every entry recorded so far.
+    fn barrier(&mut self) {
+        self.handoff();
+        if let Ok(w) = &self.writer {
+            if w.batches.send(ToWriter::Flush).is_ok() {
+                // An error means the writer died; `finish` reports it.
+                let _ = w.flushed.recv();
+            }
+        }
+    }
+
+    /// Hands over the last partial batch, joins the writer and returns
+    /// `(records, bytes, latched_error)`. `records` is the engine's count;
+    /// a writer that wrote a different number latches an error.
+    fn finish(mut self) -> (u64, u64, Option<io::Error>) {
+        self.handoff();
+        let records = self.handed;
+        let Writer {
+            batches, thread, ..
+        } = match self.writer {
+            Ok(w) => w,
+            Err(e) => return (records, 0, Some(e)),
+        };
+        // Closing the queue ends the writer's loop once it has drained it.
+        drop(batches);
+        let Ok(mut sink) = thread.join() else {
+            return (
+                records,
+                0,
+                Some(io::Error::other("trace.jsonl writer thread panicked")),
+            );
+        };
+        let written = sink.records();
+        let err = sink.take_error().or_else(|| {
+            (written != records).then(|| {
+                io::Error::other(format!(
+                    "trace.jsonl writer wrote {written} of {records} records"
+                ))
+            })
+        });
+        (records, sink.bytes(), err)
+    }
+}
+
+/// The writer thread: renders each batch, in order, into `sink` through
+/// the single renderer and hands the emptied batch back, until the
+/// engine closes `queue`. Allocates nothing; returns the flushed sink.
+fn write_batches(
+    mut sink: JsonlSink,
+    queue: &Receiver<ToWriter>,
+    give_back: &SyncSender<Vec<TraceEntry>>,
+    ack: &SyncSender<()>,
+) -> JsonlSink {
+    for msg in queue {
+        match msg {
+            ToWriter::Batch(mut batch) => {
+                for e in &batch {
+                    sink.with_line(|buf| write_entry_line(buf, e));
+                }
+                batch.clear();
+                // The channel has room for every batch; it is full or
+                // closed only once the engine is gone.
+                let _ = give_back.try_send(batch);
+            }
+            ToWriter::Flush => {
+                sink.flush();
+                let _ = ack.send(());
+            }
+        }
+    }
+    sink.flush();
+    sink
+}
+
 /// The engine's trace sink: a bounded ring buffer of [`TraceEntry`]
 /// values (oldest evicted when full), optionally replaced by a streaming
 /// [`JsonlSink`] and/or shadowed by a [`FlightRecorder`].
@@ -313,7 +497,7 @@ pub struct Trace {
     capacity: usize,
     level: TraceLevel,
     evicted: u64,
-    stream: Option<JsonlSink>,
+    stream: Option<TraceStream>,
     flight: Option<FlightRecorder>,
 }
 
@@ -358,13 +542,15 @@ impl Trace {
         self.sink_attached() && self.level > TraceLevel::Off
     }
 
-    /// Attaches a streaming sink. Entries then flow to the file through
-    /// the sink's reusable buffer **instead of** the in-memory ring —
+    /// Attaches a streaming sink and starts its writer thread. Entries
+    /// then flow to the file **instead of** the in-memory ring —
     /// streaming exists so full traces stop being memory-bound, so
     /// retaining the ring alongside it would defeat the point. The
-    /// flight recorder (if any) still shadows the last K rounds.
+    /// flight recorder (if any) still shadows the last K rounds. A sink
+    /// already attached is finished first, and its result dropped.
     pub fn set_stream(&mut self, sink: JsonlSink) {
-        self.stream = Some(sink);
+        let _ = self.finish_stream();
+        self.stream = Some(TraceStream::spawn(sink));
     }
 
     /// Attaches a flight recorder retaining the last `keep` rounds.
@@ -379,26 +565,25 @@ impl Trace {
     }
 
     /// Marks a round/epoch boundary: rotates the flight recorder's window
-    /// and flushes the streaming sink so `trace.jsonl` is durable up to
-    /// the last completed round. Observability-only — recording itself is
-    /// unaffected.
+    /// and waits until the writer thread has flushed every entry recorded
+    /// so far, so `trace.jsonl` is durable up to the last completed round.
+    /// Observability-only — recording itself is unaffected.
     pub fn mark_round(&mut self) {
         if let Some(f) = self.flight.as_mut() {
             f.rotate();
         }
         if let Some(s) = self.stream.as_mut() {
-            s.flush();
+            s.barrier();
         }
     }
 
-    /// Detaches and finishes the streaming sink, returning
-    /// `(records, bytes, latched_error)`; `None` if no sink was attached.
-    pub fn finish_stream(&mut self) -> Option<(u64, u64, Option<std::io::Error>)> {
-        self.stream.take().map(|mut s| {
-            s.flush();
-            let err = s.take_error();
-            (s.records(), s.bytes(), err)
-        })
+    /// Detaches and finishes the streaming sink, joining its writer
+    /// thread, and returns `(records, bytes, latched_error)`; `None` if
+    /// no sink was attached. `records` counts the entries recorded; the
+    /// error is the sink's first I/O error, a failed thread spawn, or a
+    /// writer that wrote a different number of records.
+    pub fn finish_stream(&mut self) -> Option<(u64, u64, Option<io::Error>)> {
+        self.stream.take().map(TraceStream::finish)
     }
 
     pub(crate) fn record(&mut self, time: SimTime, kind: TraceKind) {
@@ -410,7 +595,7 @@ impl Trace {
             f.record(e);
         }
         if let Some(s) = self.stream.as_mut() {
-            s.with_line(|buf| write_entry_line(buf, &e));
+            s.push(e);
         } else if self.capacity > 0 {
             if self.entries.len() == self.capacity {
                 self.entries.pop_front();
@@ -489,16 +674,17 @@ impl Trace {
 }
 
 impl Drop for Trace {
+    /// Finishes an attached stream, panicking or not: the last partial
+    /// batch goes to the writer and the thread is joined, so
+    /// `trace.jsonl` holds every recorded entry when `drop` returns (its
+    /// errors are dropped; [`Trace::finish_stream`] returns them).
     /// Crash-dump behaviour: if the thread is unwinding from a panic, the
     /// flight recorder's window goes to stderr (the run's artefact files
-    /// will never be written) and the streaming sink is flushed so
-    /// `trace.jsonl` holds everything up to the failure.
+    /// will never be written).
     fn drop(&mut self) {
+        let _ = self.finish_stream();
         if !std::thread::panicking() {
             return;
-        }
-        if let Some(s) = self.stream.as_mut() {
-            s.flush();
         }
         if let Some(f) = &self.flight {
             if !f.is_empty() {
@@ -737,6 +923,130 @@ mod tests {
         assert_eq!(bytes, text.len() as u64);
         assert_eq!(text, reference, "streamed trace.jsonl diverged from ring");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A fresh `trace.jsonl` path in a directory of its own.
+    fn temp_trace(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("sim-trace-{tag}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("tempdir");
+        dir.join("trace.jsonl")
+    }
+
+    /// `one_of_each` repeated `times` times: eight entries a time, on
+    /// changing nodes and seqs.
+    fn record_many(tr: &mut Trace, times: u32) {
+        for i in 0..times {
+            one_of_each(tr, i, u64::from(i));
+        }
+    }
+
+    /// A writer that accepts `left` bytes and then fails every write.
+    struct FailAfter {
+        left: usize,
+    }
+
+    impl std::io::Write for FailAfter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if self.left == 0 {
+                return Err(io::Error::other("disk full"));
+            }
+            let n = buf.len().min(self.left);
+            self.left -= n;
+            Ok(n)
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn failing_writer_surfaces_its_error_at_finish() {
+        let mut tr = Trace::new(0);
+        tr.set_stream(JsonlSink::new(Box::new(FailAfter { left: 100_000 }), 4096));
+        // Several batches and round barriers before and after the failure.
+        for _ in 0..6 {
+            record_many(&mut tr, 100);
+            tr.mark_round();
+        }
+        let (records, bytes, err) = tr.finish_stream().expect("stream attached");
+        assert_eq!(records, 6 * 100 * 8, "the engine's count");
+        assert!(bytes < 200_000, "{bytes} bytes rendered after the error");
+        assert_eq!(err.expect("error latched").to_string(), "disk full");
+    }
+
+    #[test]
+    fn dropped_trace_leaves_a_complete_file() {
+        let mut ring = Trace::new(1 << 16);
+        record_many(&mut ring, 400);
+        assert!(ring.len() > 3 * BATCH_ENTRIES && !ring.len().is_multiple_of(BATCH_ENTRIES));
+        let path = temp_trace("drop");
+        let mut streamed = Trace::new(0);
+        streamed.set_stream(JsonlSink::create(&path).expect("sink"));
+        record_many(&mut streamed, 400);
+        drop(streamed);
+        let text = std::fs::read_to_string(&path).expect("read back");
+        assert_eq!(text, ring.to_jsonl(), "drop lost the tail of trace.jsonl");
+        std::fs::remove_dir_all(path.parent().expect("dir")).ok();
+    }
+
+    /// Node 0 broadcasts every millisecond and panics at its
+    /// `panic_at`-th timer.
+    struct PanicsAt {
+        panic_at: u32,
+        fired: u32,
+    }
+
+    impl crate::app::Application for PanicsAt {
+        type Message = Vec<u8>;
+        fn on_start(&mut self, ctx: &mut crate::app::Context<'_, Vec<u8>>) {
+            if ctx.id() == NodeId::new(0) {
+                ctx.set_timer(crate::time::SimDuration::from_millis(1), 1);
+            }
+        }
+        fn on_message(&mut self, _: &mut crate::app::Context<'_, Vec<u8>>, _: NodeId, _: &Vec<u8>) {
+        }
+        fn on_timer(&mut self, ctx: &mut crate::app::Context<'_, Vec<u8>>, _: u64) {
+            self.fired += 1;
+            assert!(self.fired < self.panic_at, "handler panics mid-run");
+            ctx.broadcast(vec![0; 4]);
+            ctx.set_timer(crate::time::SimDuration::from_millis(1), 1);
+        }
+    }
+
+    fn panicking_sim(trace_capacity: usize) -> crate::sim::Simulator<PanicsAt> {
+        use crate::geometry::{Point, Region};
+        let dep = crate::topology::Deployment::from_positions(
+            vec![Point::new(0.0, 0.0), Point::new(10.0, 0.0)],
+            Region::new(100.0, 100.0),
+            50.0,
+        );
+        let mut config = crate::sim::SimConfig::ideal();
+        config.trace_capacity = trace_capacity;
+        crate::sim::Simulator::new(dep, config, 1, |_| PanicsAt {
+            panic_at: 1500,
+            fired: 0,
+        })
+    }
+
+    #[test]
+    fn panicking_handler_leaves_every_prior_entry_in_order() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let end = SimTime::from_secs(10);
+        // The reference: the same run into a ring that outlives the panic.
+        let mut ring = panicking_sim(1 << 16);
+        assert!(catch_unwind(AssertUnwindSafe(|| ring.run_until(end))).is_err());
+        let reference = ring.trace().to_jsonl();
+        assert!(ring.trace().len() > 3 * BATCH_ENTRIES);
+
+        let path = temp_trace("panic");
+        let mut streamed = panicking_sim(0);
+        streamed.set_trace_stream(JsonlSink::create(&path).expect("sink"));
+        // The simulator unwinds inside the closure, so `Drop for Trace`
+        // runs while the thread panics.
+        assert!(catch_unwind(AssertUnwindSafe(move || streamed.run_until(end))).is_err());
+        let text = std::fs::read_to_string(&path).expect("read back");
+        assert_eq!(text, reference, "trace.jsonl lost entries before the panic");
+        std::fs::remove_dir_all(path.parent().expect("dir")).ok();
     }
 
     #[test]

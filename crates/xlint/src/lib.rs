@@ -97,7 +97,8 @@ const UNSAFE_ROOTS: [&str; 11] = [
 ];
 
 /// The engine's event-dispatch / frame-delivery hot path, the
-/// per-record trace rendering path, the counter bump and the protocol's
+/// per-record trace path (the engine's batch push and handoff, the
+/// writer thread's rendering), the counter bump and the protocol's
 /// audit of overheard reports: one entry per file, listing the function
 /// bodies XL006 scans. These run once per simulated event (or per
 /// receiver), so a single `.clone()` there multiplies into millions of
@@ -139,11 +140,16 @@ const HOT_PATHS: [(&str, &[&str]); 11] = [
         &["push", "pop", "peek_key", "maintain"],
     ),
     ("crates/sim/src/arena.rs", &["take", "recycle"]),
-    // A full trace renders one `trace.jsonl` line per engine event.
+    // A full trace records one entry per engine event: the engine pushes
+    // it into a batch and hands full batches over, and the writer thread
+    // renders one `trace.jsonl` line per entry.
     (
         "crates/sim/src/trace.rs",
         &[
             "record",
+            "push",
+            "handoff",
+            "write_batches",
             "write_entry_line",
             "write_entry_fields",
             "push_field",
